@@ -94,7 +94,7 @@ class BenchContext:
 #: Minimum untimed work (wall seconds) a hot-path benchmark runs before its
 #: measured rounds start.  A cold interpreter under-reports steady-state
 #: throughput by ~25% on this workload (adaptive-interpreter specialisation,
-#: allocator and packet-pool growth, CPU frequency ramp), and a single
+#: allocator growth, CPU frequency ramp), and a single
 #: fixed warmup round (~40 ms) does not cover the ramp.
 _WARMUP_SECONDS = 0.5
 
@@ -139,8 +139,8 @@ def bench_packets(packets: int = 5_000, rounds: int = 5) -> dict:
     round with the highest packet rate is the one reported.  Warmup rounds
     are untimed and run until at least ``_WARMUP_SECONDS`` of work has
     elapsed — in a cold process the first few hundred milliseconds pay
-    one-time costs (bytecode specialisation, allocator and packet-pool
-    growth, CPU frequency ramp) that are not the workload's steady state.
+    one-time costs (bytecode specialisation, allocator growth, CPU
+    frequency ramp) that are not the workload's steady state.
     """
     best = None
     warmed = 0.0

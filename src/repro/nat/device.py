@@ -24,7 +24,6 @@ from repro.netsim.packet import (
     IpProtocol,
     Packet,
     TcpFlags,
-    _pool_free,
     icmp_error_for,
     next_packet_id,
     tcp_packet,
@@ -49,11 +48,6 @@ class NatDevice(Router):
     """
 
     forwards_packets = True
-    #: Every path through :meth:`receive` either drops the packet or emits a
-    #: *fresh clone* (translation, forward, hairpin, ICMP rebuild) — the
-    #: delivered object itself is never stowed, so the drain loop may
-    #: recycle it into the packet pool after receive() returns.
-    consumes_packets = True
 
     def __init__(
         self,
@@ -367,13 +361,8 @@ class NatDevice(Router):
                     activity[key] = now
             # Fused copy-and-rewrite, as in ``_translate_outbound``: the
             # clone's invariants hold by construction, so skip ``copy()`` +
-            # re-assignment (pool acquire first, as in ``Packet.copy``).
-            free = _pool_free
-            if free:
-                translated = free.pop()
-            else:
-                translated = object.__new__(Packet)
-                translated.gen = 0
+            # re-assignment.
+            translated = object.__new__(Packet)
             translated.proto = proto
             translated.src = packet.src
             translated.dst = mapping.private
@@ -388,18 +377,10 @@ class NatDevice(Router):
                 if mapping.closing_since is not None:
                     self.table.schedule_close(mapping, self.behavior.tcp_close_linger)
             self.translations_in += 1
-            # Forwarding-closure hit inlined, as in ``_translate_outbound``;
-            # the per-mapping memo keeps steady sessions off the cache
-            # probes entirely (the inbound next hop is fixed — it is the
-            # mapping's private endpoint).
-            memo = mapping._fwd_in
-            if memo is not None and memo[0] == self.routing.version:
-                memo[1].transmit(translated, self, memo[2])
-                return
+            # Forwarding-closure hit inlined, as in ``_translate_outbound``.
             if self._fwd_version == self.routing.version:
                 closure = self._fwd_cache.get(translated.dst.ip._value)
                 if closure is not None:
-                    mapping._fwd_in = (self.routing.version, closure[0], closure[1])
                     closure[0].transmit(translated, self, closure[1])
                     return
             self._emit(translated)
@@ -518,14 +499,8 @@ class NatDevice(Router):
         mapping._remote_activity[remote_key] = now
         mapping.last_activity = now
         mapping.packets_out += 1
-        # Packet.copy + the src/ttl rewrite, fused (one clone per packet;
-        # pool acquire first, as in ``Packet.copy``).
-        free = _pool_free
-        if free:
-            translated = free.pop()
-        else:
-            translated = object.__new__(Packet)
-            translated.gen = 0
+        # Packet.copy + the src/ttl rewrite, fused (one clone per packet).
+        translated = object.__new__(Packet)
         translated.proto = proto
         translated.src = mapping.public
         translated.dst = dst
@@ -548,17 +523,10 @@ class NatDevice(Router):
         self.translations_out += 1
         # ``Node._emit`` with the forwarding-closure hit hoisted inline; the
         # miss/invalidation path (and its no-route drop accounting) stays in
-        # ``_emit``.  The per-mapping memo pins the dst object — one
-        # endpoint-independent mapping serves many remotes, each with its
-        # own next hop.
-        memo = mapping._fwd_out
-        if memo is not None and memo[0] is dst and memo[1] == self.routing.version:
-            memo[2].transmit(translated, self, memo[3])
-            return
+        # ``_emit``.
         if self._fwd_version == self.routing.version:
             closure = self._fwd_cache.get(dst.ip._value)
             if closure is not None:
-                mapping._fwd_out = (dst, self.routing.version, closure[0], closure[1])
                 closure[0].transmit(translated, self, closure[1])
                 return
         self._emit(translated)

@@ -105,14 +105,6 @@ class NatMapping:
         self.last_ack_out: Optional[int] = None
         self.packets_out = 0
         self.packets_in = 0
-        #: Per-mapping forwarding memos, filled by the translate hot paths:
-        #: inbound is (routing-version, link, next-hop) — the next hop is
-        #: fixed, it's the mapping's private endpoint; outbound additionally
-        #: pins the destination object, (dst, routing-version, link,
-        #: next-hop), because one endpoint-independent mapping serves many
-        #: remotes.  A routing change bumps the version and misses.
-        self._fwd_in: Optional[tuple] = None
-        self._fwd_out: Optional[tuple] = None
 
     @property
     def remotes(self) -> Set[Endpoint]:

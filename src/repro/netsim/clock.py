@@ -12,8 +12,6 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, List, Tuple
 
-from repro.netsim.packet import PACKET_POOL
-
 
 class Timer:
     """Handle for a scheduled callback; supports cancellation.
@@ -24,7 +22,7 @@ class Timer:
 
     __slots__ = (
         "when", "_callback", "_args", "_cancelled", "_fired", "_scheduler",
-        "_ctx", "_items", "_inext", "_bseq", "_unpack",
+        "_ctx", "_items", "_inext", "_bseq",
     )
 
     def __init__(
@@ -227,15 +225,6 @@ class Scheduler:
         # The creation sequence number, readable by the append-eligibility
         # check ("has any timer been created since?").
         timer._bseq = self._seq
-        # Opt-in direct dispatch (see run_until): the creator may set this
-        # True to promise every item is a ``(sender, receiver, packet,
-        # dispatch-entry)`` wire delivery whose observable effect is exactly
-        # ``receiver.receive(packet, fire_item.__self__)`` for non-None
-        # items — letting the drain loop skip the per-item trampoline call
-        # and, when the entry is valid, the receive() demux itself.
-        # ``step`` always goes through ``fire_item``, so the two dispatch
-        # routes must stay observably identical.
-        timer._unpack = False
         return timer
 
     def step(self) -> bool:
@@ -326,72 +315,16 @@ class Scheduler:
             try:
                 # len() is re-read every pass: a same-instant transmit on a
                 # zero-latency link may append to this batch while it fires.
-                if timer._unpack:
-                    # Direct dispatch (see call_later_batched): the creator
-                    # guaranteed every item is a (sender, receiver, packet,
-                    # entry) wire delivery, so skip the per-item trampoline
-                    # frame and — when the entry's resolved deliver callable
-                    # is still valid for the receiver's current delivery
-                    # version — the receive() demux too, landing straight in
-                    # the transport stack (or bound socket).  Consuming
-                    # deliveries recycle the packet into the pool;
-                    # generation-stamping happens at release so stale
-                    # references are detectable (see PacketPool).
-                    owner = callback.__self__
-                    pool = PACKET_POOL
-                    free = (
-                        pool._free
-                        if pool.enabled and len(pool._free) < pool.max_free
-                        else None
-                    )
-                    poison = pool.debug_poison
-                    released = 0
-                    while i < len(items):
-                        timer._inext = i + 1
-                        fired += 1
-                        item = items[i]
-                        if item is not None:
-                            _sender, receiver, packet, entry = item
-                            deliver, dversion, consuming, _rcv, _nh = entry
-                            if (
-                                deliver is not None
-                                and dversion == receiver._delivery_version
-                            ):
-                                receiver.packets_received += 1
-                                deliver(packet)
-                                if free is not None and consuming:
-                                    if poison:
-                                        pool.release(packet)  # counts itself
-                                    else:
-                                        packet.gen += 1
-                                        free.append(packet)
-                                        released += 1
-                            else:
-                                receiver.receive(packet, owner)
-                                if free is not None and receiver.consumes_packets:
-                                    if poison:
-                                        pool.release(packet)  # counts itself
-                                    else:
-                                        packet.gen += 1
-                                        free.append(packet)
-                                        released += 1
-                        if timer._cancelled:
-                            break
-                        i = timer._inext
-                    if released:
-                        pool.released += released
-                else:
-                    while i < len(items):
-                        timer._inext = i + 1
-                        fired += 1
-                        callback(items[i])
-                        if timer._cancelled:
-                            # Cancelled mid-drain (e.g. the link went down in
-                            # a delivery callback); the dead entry is popped
-                            # by the cancellation branch above on the next
-                            # pass.
-                            break
-                        i = timer._inext
+                while i < len(items):
+                    timer._inext = i + 1
+                    fired += 1
+                    callback(items[i])
+                    if timer._cancelled:
+                        # Cancelled mid-drain (e.g. the link went down in a
+                        # delivery callback); the dead entry is popped by the
+                        # cancellation branch above on the next pass.
+                        break
+                    i = timer._inext
             finally:
                 self.events_fired += fired
                 # Pop the drained entry even when a callback raises.  Pop

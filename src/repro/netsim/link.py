@@ -145,8 +145,8 @@ class Link:
         #: place.
         self._batches: Dict[int, Timer] = {}
         #: Direct-dispatch memo: ``dst._key * 4 + proto.wire_index`` ->
-        #: ``(deliver, delivery_version, consuming, receiver, nh_value)``.
-        #: *deliver* is the callable the drain loop invokes instead of the
+        #: ``(deliver, delivery_version, receiver, nh_value)``.  *deliver* is
+        #: the callable :meth:`_fire_delivery` invokes instead of the
         #: ``receiver.receive`` trampoline (None = always slow path, e.g.
         #: forwarding receivers); *delivery_version* is the receiver's
         #: :attr:`Node._delivery_version` at resolve time (None = never
@@ -378,14 +378,14 @@ class Link:
             # hops sharing a dst key on one segment) or a stale delivery
             # version re-resolves.
             entry = self._dispatch.get(packet.dst._key * 4 + proto.wire_index)
-            if entry is None or entry[4] != nh_value:
+            if entry is None or entry[3] != nh_value:
                 receiver = self._owner_values.get(nh_value)
                 if receiver is None or receiver is sender:
                     self.packets_dropped += 1
                     return False
                 entry = self._resolve_dispatch(packet.dst, proto, receiver, nh_value)
             else:
-                receiver = entry[3]
+                receiver = entry[2]
                 if receiver is sender:
                     self.packets_dropped += 1
                     return False
@@ -421,10 +421,6 @@ class Link:
                     self._fast_latency, self._fire_delivery
                 )
                 batch._bseq = scheduler._seq
-                # Items are (sender, receiver, packet, entry) wire deliveries
-                # and _fire_delivery does nothing else — let run_until's
-                # drain loop dispatch into the receiver directly.
-                batch._unpack = True
                 batch._items.append((sender, receiver, packet, entry))
                 batches[next(self._batch_ids)] = batch
                 self._open_batch = batch
@@ -517,21 +513,19 @@ class Link:
         answer can never go stale); host receivers resolve through
         :meth:`Node.resolve_dispatch` and are pinned to the host's current
         delivery version.  *nh_value* — the raw next-hop IP the entry was
-        resolved against — rides in slot 4 so a transmit hit can reuse the
+        resolved against — rides in slot 3 so a transmit hit can reuse the
         memoised receiver without re-probing the owner index.
         """
         if receiver.forwards_packets:
-            entry = (None, None, False, receiver, nh_value)
+            entry = (None, None, receiver, nh_value)
         elif dst.ip._value not in receiver._local_ips:
             # Not locally addressed (the host will drop it): slow path, but
             # re-resolved if the host grows an interface.
-            entry = (None, receiver._delivery_version, False, receiver, nh_value)
+            entry = (None, receiver._delivery_version, receiver, nh_value)
         else:
-            deliver, consuming = receiver.resolve_dispatch(proto, dst)
             entry = (
-                deliver,
+                receiver.resolve_dispatch(proto, dst),
                 receiver._delivery_version,
-                consuming,
                 receiver,
                 nh_value,
             )
@@ -539,12 +533,21 @@ class Link:
         return entry
 
     def _fire_delivery(self, item) -> None:
-        """Deliver one coalesced-batch item (the scheduler fires one item per
-        event; a nulled item was detach-dropped while in flight).  Always the
-        receive() trampoline — step()-driven runs take this route and must
-        stay observably identical to the drain loop's direct dispatch."""
+        """Deliver one coalesced-batch item; every scheduler driver (``step``
+        and ``run_until`` alike) fires batched items through here, one per
+        event.  A nulled item was detach-dropped while in flight.  When the
+        item's dispatch entry is still valid for the receiver's delivery
+        version, the packet goes straight to the resolved transport target,
+        skipping the ``receive()`` demux (whose ``packets_received`` bump is
+        kept); otherwise it takes the ``receive()`` trampoline."""
         if item is not None:
-            item[1].receive(item[2], self)
+            _sender, receiver, packet, entry = item
+            deliver = entry[0]
+            if deliver is not None and entry[1] == receiver._delivery_version:
+                receiver.packets_received += 1
+                deliver(packet)
+            else:
+                receiver.receive(packet, self)
 
     def _ge_burst_drops(self, packet: Packet) -> bool:
         """Advance the Gilbert-Elliott two-state chain one packet and report

@@ -35,12 +35,6 @@ class Node:
     """Base class: interfaces + routing table + send/receive machinery."""
 
     forwards_packets = False
-    #: True when this node's :meth:`receive` provably never retains the
-    #: delivered packet object (it re-emits a fresh clone or drops) — the
-    #: licence for the drain loop to recycle fast-path deliveries into the
-    #: packet pool.  NAT devices set it; hosts must not (application
-    #: handlers may stow packets).
-    consumes_packets = False
     #: The owning network's MetricsRegistry, set by ``Network.add_node`` so
     #: protocol layers above can reach it; None for standalone nodes.
     metrics = None
@@ -70,7 +64,7 @@ class Node:
         self._handlers_by_index: List = [None] * len(IpProtocol)
         #: Optional per-protocol dispatch resolvers (see
         #: :meth:`resolve_dispatch`); transport stacks install one to bind
-        #: drain-loop deliveries straight onto their sockets.
+        #: fast-path deliveries straight onto their sockets.
         self._dispatch_resolvers: List = [None] * len(IpProtocol)
         #: Local-delivery epoch.  Every cached direct-dispatch entry (see
         #: ``Link._dispatch``) records the version it was resolved under and
@@ -134,9 +128,9 @@ class Node:
         Transport stacks call this once at attach time; re-registration
         replaces the handler (used by tests to interpose observers).
 
-        *resolver*, if given, is ``resolver(dst) -> (deliver, consuming)``:
-        a finer-grained dispatch hook the drain loop uses to deliver
-        straight into the destination socket (see :meth:`resolve_dispatch`).
+        *resolver*, if given, is ``resolver(dst) -> deliver``: a
+        finer-grained dispatch hook that lets fast-path deliveries land
+        straight in the destination socket (see :meth:`resolve_dispatch`).
         """
         self._protocol_handlers[proto] = handler
         self._handlers_by_index[proto.wire_index] = handler
@@ -151,26 +145,20 @@ class Node:
         self._dispatch_resolvers[proto.wire_index] = None
         self._delivery_version += 1
 
-    def resolve_dispatch(self, proto: IpProtocol, dst) -> tuple:
+    def resolve_dispatch(self, proto: IpProtocol, dst) -> Optional[Callable]:
         """Resolve the direct-dispatch target for local (proto, dst) traffic.
 
-        Returns ``(deliver, consuming)``: *deliver* is the callable the
-        drain loop invokes instead of :meth:`receive` (None forces the slow
-        path), and *consuming* is True only when the delivery provably does
-        not retain the packet object, licensing pool recycling.  Entries
-        derived from this answer are validated against
+        Returns the callable :meth:`Link._fire_delivery` invokes instead of
+        :meth:`receive` — the protocol's resolver answer if one is
+        registered, else the plain protocol handler — or None to force the
+        slow path.  Entries derived from this answer are validated against
         :attr:`_delivery_version` on every use, so a stale binding can never
         deliver — it falls back to :meth:`receive`.
         """
         resolver = self._dispatch_resolvers[proto.wire_index]
         if resolver is not None:
             return resolver(dst)
-        handler = self._handlers_by_index[proto.wire_index]
-        if handler is None:
-            return None, False
-        # Generic handler: saves the receive() trampoline but never recycles
-        # (the handler may legitimately stow the packet).
-        return handler, False
+        return self._handlers_by_index[proto.wire_index]
 
     # -- data path -----------------------------------------------------------
 

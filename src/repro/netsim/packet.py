@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 from repro.netsim.addresses import Endpoint
@@ -26,111 +27,8 @@ _packet_ids = itertools.count(1)
 next_packet_id = _packet_ids.__next__
 
 
-class _RecycledField:
-    """Poison value installed on a released Packet's fields in pool debug
-    mode: any substantive use — attribute access, length, bytes conversion,
-    comparison, iteration — raises immediately, so a stale holder fails loud
-    instead of silently reading another flow's data."""
-
-    __slots__ = ()
-
-    def _boom(self, *args, **kwargs):
-        raise RuntimeError(
-            "stale reference to a recycled Packet: the drain loop returned "
-            "this object to the pool. Retain Packet.stow() (a defensive "
-            "copy), not the delivered packet itself."
-        )
-
-    __getattr__ = _boom
-    __len__ = _boom
-    __bytes__ = _boom
-    __iter__ = _boom
-    __eq__ = _boom
-    __str__ = _boom
-
-    def __repr__(self) -> str:  # kept printable so debuggers survive
-        return "<recycled>"
-
-
-_RECYCLED = _RecycledField()
-
-
-class PacketPool:
-    """Free-list recycler for hot-path Packets.
-
-    Only the scheduler's batched drain loop releases packets, and only for
-    deliveries that provably consume them: UDP socket dispatch (the callback
-    receives ``(payload, src)``, both immutable and safe to retain) and
-    nodes whose class declares ``consumes_packets = True`` (NAT devices —
-    their receive path always emits a fresh clone and never stows the
-    original).  Packets handed to generic protocol handlers are *never*
-    recycled, so application code that stows a delivered packet keeps a
-    valid object; code that must retain one across deliveries should take
-    :meth:`Packet.stow` anyway, which is recycle-proof by construction.
-
-    Every release bumps the packet's generation stamp (:attr:`Packet.gen`),
-    so a holder that snapshots ``gen`` can always detect recycling; with
-    :attr:`debug_poison` on, release additionally poisons the payload and
-    endpoint fields so any use of a stale reference raises (the identity and
-    safety suites run in this mode).
-
-    ``disable()`` empties the free list, which makes the acquire fast path
-    (``free.pop() if free else object.__new__``) collapse to the plain
-    allocation — pooled and unpooled runs are byte-identical on every
-    observable (packet ids still come from the global counter on acquire).
-    """
-
-    __slots__ = ("enabled", "debug_poison", "max_free", "released", "_free")
-
-    def __init__(self, max_free: int = 4096) -> None:
-        self.enabled = True
-        self.debug_poison = False
-        #: Soft bound on the free list: the drain loop stops releasing for
-        #: the rest of a batch once the list reaches this size.
-        self.max_free = max_free
-        #: Total packets returned to the pool (obs counter).
-        self.released = 0
-        self._free: list = []
-
-    def disable(self) -> None:
-        """Turn recycling off and drop the free list (identity tests)."""
-        self.enabled = False
-        self._free.clear()
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    @property
-    def free(self) -> int:
-        """Packets currently waiting for reuse."""
-        return len(self._free)
-
-    def release(self, packet: "Packet") -> None:
-        """Return *packet* to the pool; the drain loop inlines this, but the
-        safety tests exercise it directly."""
-        if not self.enabled or len(self._free) >= self.max_free:
-            return
-        if self.debug_poison:
-            packet.src = _RECYCLED
-            packet.dst = _RECYCLED
-            packet.payload = _RECYCLED
-            packet.tcp = None
-            packet.icmp = None
-        packet.gen += 1
-        self.released += 1
-        self._free.append(packet)
-
-    def to_dict(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "free": len(self._free),
-            "released": self.released,
-        }
-
-
-#: Process-wide pool instance; hot constructors read ``PACKET_POOL._free``.
-PACKET_POOL = PacketPool()
-_pool_free = PACKET_POOL._free
+#: Always-zero pool record kept only for perfbench/run.py; the next benchmark update removes it.
+PACKET_POOL = SimpleNamespace(released=0, free=0)
 
 
 class IpProtocol(enum.Enum):
@@ -249,10 +147,6 @@ class Packet:
             or None when no flight recorder is attached.  Stamped lazily at
             the first recorded hop and propagated through :meth:`copy`, so
             every NAT rewrite of the same original packet shares lineage.
-        gen: pool generation stamp, bumped each time :data:`PACKET_POOL`
-            recycles this object.  Snapshot it when retaining a delivered
-            packet to detect reuse; excluded from equality and repr because
-            it describes the container, not the packet.
     """
 
     proto: IpProtocol
@@ -264,7 +158,6 @@ class Packet:
     ttl: int = DEFAULT_TTL
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
     flow: Optional[int] = None
-    gen: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.proto is IpProtocol.TCP and self.tcp is None:
@@ -286,18 +179,8 @@ class Packet:
         *shared* and treated as immutable — a mangling NAT rebinds
         ``payload`` to new bytes, and the ICMP translator attaches a fresh
         :class:`IcmpError` rather than writing through the shared one.
-
-        Clones come from :data:`PACKET_POOL`'s free list when one is
-        available (an empty list costs a single truthiness check); every
-        field is assigned below, so a recycled carcass is indistinguishable
-        from a fresh allocation except for its ``gen`` stamp.
         """
-        free = _pool_free
-        if free:
-            clone = free.pop()
-        else:
-            clone = object.__new__(Packet)
-            clone.gen = 0
+        clone = object.__new__(Packet)
         clone.proto = self.proto
         clone.src = self.src
         clone.dst = self.dst
@@ -308,16 +191,6 @@ class Packet:
         clone.packet_id = next(_packet_ids)
         clone.flow = self.flow
         return clone
-
-    def stow(self) -> "Packet":
-        """Defensive copy for handlers that retain delivered packets.
-
-        The drain loop may recycle a delivered packet once the delivery
-        callback returns (see :class:`PacketPool`); a stowed copy is owned
-        by the caller — the pool only ever reclaims packets it delivered,
-        so nothing reaches into this clone behind the caller's back.
-        """
-        return self.copy()
 
     @property
     def size(self) -> int:
@@ -339,17 +212,12 @@ class Packet:
 def udp_packet(src: Endpoint, dst: Endpoint, payload: bytes = b"") -> Packet:
     """Convenience constructor for a UDP datagram.
 
-    Built like :meth:`Packet.copy` — pool acquire or straight into
-    ``__new__`` — because the UDP send path creates one packet per datagram
-    and the protocol invariants ``__post_init__`` would check (a UDP packet
-    has no TCP/ICMP body) hold by construction here.
+    Built like :meth:`Packet.copy` — straight into ``__new__`` — because
+    the UDP send path creates one packet per datagram and the protocol
+    invariants ``__post_init__`` would check (a UDP packet has no TCP/ICMP
+    body) hold by construction here.
     """
-    free = _pool_free
-    if free:
-        packet = free.pop()
-    else:
-        packet = object.__new__(Packet)
-        packet.gen = 0
+    packet = object.__new__(Packet)
     packet.proto = IpProtocol.UDP
     packet.src = src
     packet.dst = dst

@@ -1,19 +1,18 @@
 """Garbage-collector pause accounting.
 
-The packet pool (:class:`repro.netsim.packet.PacketPool`) exists to keep the
-per-packet allocation rate — and with it the cyclic-GC trigger rate — flat on
-the hot path.  This module measures the thing the pool is defending against:
-how often the collector ran during a simulation stretch and how much wall
-clock its pauses consumed.  CPython exposes exactly the right hook,
-``gc.callbacks``, which fires with ``"start"``/``"stop"`` phases around every
-collection; the monitor timestamps the pair.
+Every simulated packet is a fresh allocation, so a long run feeds CPython's
+cyclic collector steadily, and a collection that lands inside a timed window
+shows up as wall-clock noise.  This module measures how often the collector
+ran during a simulation stretch and how much wall clock its pauses consumed.
+CPython exposes exactly the right hook, ``gc.callbacks``, which fires with
+``"start"``/``"stop"`` phases around every collection; the monitor
+timestamps the pair.
 
 Benchmarks surface the numbers through :class:`repro.obs.profile.RunProfiler`
-(``gc_collections`` / ``gc_pause_seconds`` in ``to_dict``), next to the pool
-counters they justify.  Note that benchmark workloads typically run under a
-quiesced collector (``emit_bench.quiesced_gc``), where zero collections is
-the *expected* reading — the monitor proves the invariant rather than
-measuring noise.
+(``gc_collections`` / ``gc_pause_seconds`` in ``to_dict``).  Note that
+benchmark workloads typically run under a quiesced collector
+(``emit_bench.quiesced_gc``), where zero collections is the *expected*
+reading — the monitor proves the invariant rather than measuring noise.
 """
 
 from __future__ import annotations

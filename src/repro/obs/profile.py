@@ -13,7 +13,6 @@ import time
 from typing import Dict, Optional
 
 from repro.netsim.clock import Scheduler
-from repro.netsim.packet import PACKET_POOL
 from repro.obs.gcstats import GcPauseMonitor
 
 
@@ -44,7 +43,6 @@ class RunProfiler:
         self.virtual_seconds = 0.0
         self.events = 0
         self.packets = 0
-        self.pool_recycled = 0
         self._wall_start = 0.0
         self._events_start = 0
         self._packets_start = 0
@@ -53,7 +51,6 @@ class RunProfiler:
         #: under a quiesced collector zero collections is the expected —
         #: and now proven — reading.
         self.gc = GcPauseMonitor()
-        self._pool_released_start = 0
 
     def _packets_now(self) -> int:
         if self.network is None:
@@ -64,7 +61,6 @@ class RunProfiler:
         self._events_start = self.scheduler.events_fired
         self._packets_start = self._packets_now()
         self._virtual_start = self.scheduler.now
-        self._pool_released_start = PACKET_POOL.released
         self.gc.start()
         self._wall_start = time.perf_counter()
         return self
@@ -75,7 +71,6 @@ class RunProfiler:
         self.events = self.scheduler.events_fired - self._events_start
         self.packets = self._packets_now() - self._packets_start
         self.virtual_seconds = self.scheduler.now - self._virtual_start
-        self.pool_recycled = PACKET_POOL.released - self._pool_released_start
 
     # -- derived rates -------------------------------------------------------
 
@@ -108,9 +103,6 @@ class RunProfiler:
             "time_dilation": self.time_dilation,
             "gc_collections": self.gc.collections,
             "gc_pause_seconds": self.gc.pause_seconds,
-            "pool_recycled": self.pool_recycled,
-            "pool_free": PACKET_POOL.free,
-            "pool_enabled": PACKET_POOL.enabled,
         }
 
     def __repr__(self) -> str:

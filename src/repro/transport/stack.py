@@ -39,9 +39,9 @@ class HostStack:
             rst_seq_validation=rst_seq_validation,
             icmp_validation=icmp_validation,
         )
-        # UDP registers a dispatch resolver so the scheduler's drain loop can
-        # deliver straight into the bound socket; TCP and ICMP use the
-        # generic handler binding (still one frame shorter than receive()).
+        # UDP registers a dispatch resolver so fast-path deliveries land
+        # straight in the bound socket; TCP and ICMP use the generic handler
+        # binding (still one frame shorter than receive()).
         host.register_protocol(
             IpProtocol.UDP, self.udp.handle_packet, resolver=self.udp.resolve_dispatch
         )

@@ -21,7 +21,6 @@ from repro.netsim.packet import (
     IcmpError,
     IpProtocol,
     Packet,
-    _pool_free,
     next_packet_id,
 )
 from repro.util.errors import BindError
@@ -59,12 +58,6 @@ class UdpSocket:
         self.on_icmp_error: Optional[ErrorHandler] = None
         self.datagrams_sent = 0
         self.datagrams_received = 0
-        #: One-slot forwarding memo: (dest-endpoint, routing-version, link,
-        #: next-hop) for the last destination this socket routed to.  Hit by
-        #: identity on the dest object (steady senders reuse one Endpoint);
-        #: any routing change — including a new local interface, which adds
-        #: a connected route — bumps the version and misses the memo.
-        self._fwd_memo: Optional[tuple] = None
 
     def sendto(self, payload: bytes, dest: Endpoint) -> bool:
         """Send one datagram; returns False if it could not be routed."""
@@ -74,16 +67,8 @@ class UdpSocket:
         stack = self._stack
         stack.datagrams_sent += 1
         # ``udp_packet``, inlined: sendto is the per-datagram hot path and
-        # the UDP invariants (no tcp/icmp body) hold by construction.  The
-        # packet comes from the pool's free list when one is waiting (every
-        # field below is reassigned; ``gen`` deliberately isn't — it stamps
-        # recycling, not identity).
-        free = _pool_free
-        if free:
-            packet = free.pop()
-        else:
-            packet = object.__new__(Packet)
-            packet.gen = 0
+        # the UDP invariants (no tcp/icmp body) hold by construction.
+        packet = object.__new__(Packet)
         packet.proto = IpProtocol.UDP
         packet.src = self.local
         packet.dst = dest
@@ -95,17 +80,8 @@ class UdpSocket:
         packet.flow = None
         # ``Node.send`` with the forwarding-closure hit inlined (one frame
         # per datagram); loopback, cache misses, and routing-version skew
-        # fall back to the full send path.  The socket-local one-slot memo
-        # keeps steady flows (same dest object, unchanged routing) off the
-        # per-datagram cache probes entirely.
+        # fall back to the full send path.
         host = stack.host
-        memo = self._fwd_memo
-        if (
-            memo is not None
-            and memo[0] is dest
-            and memo[1] == host.routing.version
-        ):
-            return memo[2].transmit(packet, host, memo[3])
         dst_value = dest.ip._value
         if (
             host._fwd_version == host.routing.version
@@ -113,7 +89,6 @@ class UdpSocket:
         ):
             closure = host._fwd_cache.get(dst_value)
             if closure is not None:
-                self._fwd_memo = (dest, host.routing.version, closure[0], closure[1])
                 return closure[0].transmit(packet, host, closure[1])
         return host.send(packet)
 
@@ -124,20 +99,11 @@ class UdpSocket:
         self.closed = True
         self._stack._release(self)
 
-    def _deliver(self, packet: Packet) -> None:
-        self.datagrams_received += 1
-        self._stack.datagrams_received += 1
-        if self.on_datagram is not None:
-            self.on_datagram(packet.payload, packet.src)
-
     def _deliver_direct(self, packet: Packet) -> None:
-        """Drain-loop dispatch target (see :meth:`UdpStack.resolve_dispatch`).
+        """Direct-dispatch target (see :meth:`UdpStack.resolve_dispatch`).
 
         Identical to the tail of :meth:`UdpStack.handle_packet` — the node's
-        ``packets_received`` bump happens in the drain loop itself.  This
-        delivery is *consuming*: the callback gets (payload, src), both
-        immutable shared objects it may retain freely, and the packet object
-        is never exposed — the licence for the pool to recycle it.
+        ``packets_received`` bump happens in ``Link._fire_delivery`` itself.
         """
         self.datagrams_received += 1
         self._stack.datagrams_received += 1
@@ -213,24 +179,23 @@ class UdpStack:
         self._by_port = {k: s for k, s in self._by_port.items() if s is not sock}
         self.host._delivery_version += 1
 
-    def resolve_dispatch(self, dst: Endpoint) -> tuple:
+    def resolve_dispatch(self, dst: Endpoint) -> Optional[Callable]:
         """Direct-dispatch resolver (see :meth:`Node.resolve_dispatch`):
-        bind drain-loop deliveries for *dst* straight onto the owning
-        socket's :meth:`UdpSocket._deliver_direct`.  Consuming — UDP
-        delivery exposes only (payload, src), never the packet object."""
+        bind fast-path deliveries for *dst* straight onto the owning
+        socket's :meth:`UdpSocket._deliver_direct`."""
         sock = self._by_key.get(dst._key)
         if sock is None or sock.closed:
             sock = self._by_port.get(dst.port)
             if sock is None or sock.closed:
-                return None, False
-        return sock._deliver_direct, True
+                return None
+        return sock._deliver_direct
 
     def handle_packet(self, packet: Packet) -> None:
         """Demultiplex one inbound UDP packet to a bound socket.
 
-        This is ``_lookup`` + ``UdpSocket._deliver`` inlined: the demux runs
-        once per delivered datagram and the two extra frames are measurable
-        on the NAT echo path.
+        This is ``_lookup`` + ``UdpSocket._deliver_direct`` inlined: the
+        demux runs once per delivered datagram and the two extra frames are
+        measurable on the NAT echo path.
         """
         dst = packet.dst
         sock = self._by_key.get(dst._key)

@@ -6,8 +6,9 @@ switch off may change only wall-clock time, never a single observable — not
 a delivery time, not a counter, not a trace record, not a flight-recorder
 event.  This suite pins that property three ways:
 
-* the six ``--explain`` post-mortem scenarios, byte-identical flight
-  timelines and rendered verdicts either way;
+* the ``--explain`` post-mortem scenarios, byte-identical flight
+  timelines and rendered verdicts either way (their recorder keeps both
+  sides on the slow path, so these pin only the gate);
 * the NAT echo workload (the ``nat_packets_per_second`` bench topology),
   identical arrival timelines and counters either way;
 * a plain-profile network whose ``PacketTrace`` is enabled mid-run, so the
@@ -15,9 +16,9 @@ event.  This suite pins that property three ways:
   subscription must flip the gate and the captured records must match a
   run that never used the fast path at all.
 
-The packet pool (:data:`repro.netsim.packet.PACKET_POOL`) is held to the
-same standard along a second axis: every scenario above must also be
-byte-identical with recycling on versus off (``TestPoolingIdentity``).
+The echo and mid-run-trace identities carry a witness that their fast side
+really took the fast path (batched delivery timers, no ``Link._wire_one``),
+so neither can pass by comparing the slow path with itself.
 """
 
 import contextlib
@@ -28,9 +29,9 @@ from repro.analysis.explain import SCENARIOS, explain_scenario
 from repro.nat import behavior as B
 from repro.nat.device import NatDevice
 from repro.netsim.addresses import Endpoint
+from repro.netsim.clock import Scheduler
 from repro.netsim.link import LAN_LINK, Link, LinkProfile
 from repro.netsim.network import Network
-from repro.netsim.packet import PACKET_POOL
 from repro.obs.attribution import render_verdict
 from repro.obs.flight_export import to_jsonl
 from repro.transport.stack import attach_stack
@@ -46,20 +47,24 @@ def _fast_path(enabled: bool):
         Link.fast_path_enabled = prior
 
 
-@contextlib.contextmanager
-def _pool(enabled: bool):
-    prior = PACKET_POOL.enabled
-    if enabled:
-        PACKET_POOL.enable()
-    else:
-        PACKET_POOL.disable()
-    try:
-        yield
-    finally:
-        if prior:
-            PACKET_POOL.enable()
-        else:
-            PACKET_POOL.disable()
+def _count_path_calls(monkeypatch) -> dict:
+    """Record the virtual time of every batched-delivery timer created and
+    every slow-path ``Link._wire_one`` call from here on."""
+    seen = {"batched": [], "wire_one": []}
+    batched = Scheduler.call_later_batched
+    wire_one = Link._wire_one
+
+    def counting_batched(scheduler, *args, **kwargs):
+        seen["batched"].append(scheduler.now)
+        return batched(scheduler, *args, **kwargs)
+
+    def counting_wire_one(link, *args, **kwargs):
+        seen["wire_one"].append(link.scheduler.now)
+        return wire_one(link, *args, **kwargs)
+
+    monkeypatch.setattr(Scheduler, "call_later_batched", counting_batched)
+    monkeypatch.setattr(Link, "_wire_one", counting_wire_one)
+    return seen
 
 
 def _build_echo(seed: int = 1):
@@ -120,6 +125,12 @@ class TestFastPathGate:
 
 
 class TestExplainScenarioIdentity:
+    """Both sides of this identity run the slow path: every ``--explain``
+    scenario attaches a flight recorder, and the gate refuses the fast path
+    while one is attached.  The test therefore pins only the gate — that
+    flipping ``Link.fast_path_enabled`` changes nothing when the recorder
+    already keeps the fast path off."""
+
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_flight_timeline_identical_either_path(self, name):
         def run(enabled):
@@ -169,54 +180,17 @@ class TestEchoWorkloadIdentity:
             "server": (server.packets_received, server.packets_dropped),
         }
 
-    def test_observables_identical_either_path(self):
+    def test_observables_identical_either_path(self, monkeypatch):
+        seen = _count_path_calls(monkeypatch)
         with _fast_path(True):
             fast = self._run()
+        # The fast side really engaged: deliveries went through batched
+        # timers and not one packet took the slow wire path.
+        assert seen["batched"]
+        assert not seen["wire_one"]
         with _fast_path(False):
             slow = self._run()
         assert fast == slow
-
-
-class TestPoolingIdentity:
-    """Packet recycling must be observably inert, like the fast path itself.
-
-    ``disable()`` empties the free list, collapsing acquire to plain
-    allocation; packet ids come off the global counter either way, so the
-    pooled and unpooled runs must agree on every observable.
-    """
-
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_explain_timeline_identical_pooled_or_not(self, name):
-        def run(pooled):
-            with _pool(pooled):
-                recorder, verdicts = explain_scenario(name, seed=7)
-            return to_jsonl(recorder), [render_verdict(v) for v in verdicts]
-
-        pooled_jsonl, pooled_verdicts = run(True)
-        plain_jsonl, plain_verdicts = run(False)
-        assert pooled_verdicts == plain_verdicts
-        assert pooled_jsonl == plain_jsonl  # byte-identical timeline
-
-    def test_echo_observables_identical_pooled_or_not(self):
-        with _pool(True):
-            pooled = TestEchoWorkloadIdentity._run()
-        with _pool(False):
-            plain = TestEchoWorkloadIdentity._run()
-        assert pooled == plain
-
-    def test_pooled_echo_recycles_even_under_poison(self):
-        # Non-vacuousness witness for the identity above: the pooled echo
-        # run really does recycle, and stays correct with poison mode
-        # arming every recycled carcass to explode on stale access.
-        prior = PACKET_POOL.debug_poison
-        PACKET_POOL.debug_poison = True
-        try:
-            with _pool(True):
-                before = PACKET_POOL.released
-                TestEchoWorkloadIdentity._run()
-                assert PACKET_POOL.released > before
-        finally:
-            PACKET_POOL.debug_poison = prior
 
 
 class TestMidRunTraceIdentity:
@@ -236,9 +210,15 @@ class TestMidRunTraceIdentity:
         assert len(arrivals) == packets
         return [str(r) for r in net.trace.records]
 
-    def test_capture_identical_either_path(self):
+    def test_capture_identical_either_path(self, monkeypatch):
+        seen = _count_path_calls(monkeypatch)
         with _fast_path(True):
             fast = self._run()
+        # The fast side really engaged until the capture window opened at
+        # t=0.03: batched deliveries before it, no slow-path wire send.  The
+        # trace then shuts the gate, so the slow path only starts there.
+        assert [t for t in seen["batched"] if t < 0.03]
+        assert seen["wire_one"] and min(seen["wire_one"]) >= 0.03
         with _fast_path(False):
             slow = self._run()
         assert fast  # the capture window saw traffic — identity is not vacuous
