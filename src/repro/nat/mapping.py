@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.netsim.addresses import Endpoint, IPv4Address
 from repro.netsim.clock import Scheduler, Timer
-from repro.netsim.packet import IpProtocol, TcpFlags
+from repro.netsim.packet import FIN, RST, IpProtocol
 from repro.nat.policy import MappingPolicy, PortAllocation, QuotaPolicy
 from repro.util.errors import AddressError
 from repro.util.rng import SeededRng
@@ -155,12 +155,12 @@ class NatMapping:
                 if key in activity:
                     activity[key] = now
 
-    def observe_tcp_flags(self, flags: TcpFlags, outbound: bool, now: float) -> None:
+    def observe_tcp_flags(self, flags: int, outbound: bool, now: float) -> None:
         """Track close signals so the table can expire dead TCP sessions."""
-        if flags & TcpFlags.RST:
+        if flags & RST:
             self.tcp_rst_seen = True
             self.closing_since = now
-        if flags & TcpFlags.FIN:
+        if flags & FIN:
             if outbound:
                 self.tcp_fin_outbound = True
             else:

@@ -144,7 +144,9 @@ class IPv4Network:
         return 1 << (32 - self._prefix_len)
 
     def __contains__(self, address) -> bool:
-        return (int(IPv4Address(address)) & self.netmask_int()) == self._network
+        if not isinstance(address, IPv4Address):
+            address = IPv4Address(address)
+        return (address._value & self.netmask_int()) == self._network
 
     def hosts(self) -> Iterator[IPv4Address]:
         """Iterate usable host addresses (excludes network/broadcast on /30-)."""

@@ -56,11 +56,11 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 from repro.netsim.addresses import Endpoint, IPv4Address
 from repro.netsim.node import Host
 from repro.netsim.packet import (
+    RST,
     IcmpError,
     IcmpType,
     IpProtocol,
     Packet,
-    TcpFlags,
     tcp_packet,
     udp_packet,
 )
@@ -332,7 +332,7 @@ class SpoofedRstInjector(Attacker):
             rst = tcp_packet(
                 self.forged_src,
                 dst,
-                TcpFlags.RST,
+                RST,
                 seq=self.rng.randint(0, 0xFFFFFFFF),
             )
             self._launch(self.host, rst)

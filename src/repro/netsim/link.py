@@ -125,10 +125,9 @@ class Link:
         #: default) keeps every drop site to a single attribute test.
         self._flight = None
         self._attachments: List[Tuple["Node", IPv4Address]] = []
-        self._owner_index: Dict[IPv4Address, "Node"] = {}
-        #: Hot mirror of ``_owner_index`` keyed by the raw 32-bit address
-        #: value: int probes hash at C speed, IPv4Address probes pay a
-        #: Python-level ``__hash__`` call per packet.
+        #: Owner index keyed by the raw 32-bit address value: int probes
+        #: hash at C speed, IPv4Address probes pay a Python-level
+        #: ``__hash__`` call per packet.
         self._owner_values: Dict[int, "Node"] = {}
         self._busy_until = 0.0
         self._up = True
@@ -171,21 +170,17 @@ class Link:
         self.duplicates_delivered = 0
         self.packets_reordered = 0
         self.bytes_sent = 0
-        # Pre-bound per-protocol counter handles (one attribute add per
-        # packet on the hot path); the owning network's collector reads the
-        # dict views below at snapshot time.
-        self._sent_handles: Dict[IpProtocol, Counter] = {
-            proto: Counter("link.packets_sent", (("proto", proto.value),))
-            for proto in IpProtocol
-        }
-        self._lost_handles: Dict[IpProtocol, Counter] = {
-            proto: Counter("link.packets_lost", (("proto", proto.value),))
-            for proto in IpProtocol
-        }
-        #: Dense ``wire_index``-ordered view of ``_sent_handles`` for the
-        #: fast path (list index + direct ``.value`` bump, no enum hashing).
+        # Pre-bound per-protocol counter handles, indexed by
+        # ``proto.wire_index`` (list index + direct ``.value`` bump, no enum
+        # hashing); the owning network's collector reads the dict views
+        # below at snapshot time.
         self._sent_by_index: List[Counter] = [
-            self._sent_handles[proto] for proto in IpProtocol
+            Counter("link.packets_sent", (("proto", proto.value),))
+            for proto in IpProtocol
+        ]
+        self._lost_by_index: List[Counter] = [
+            Counter("link.packets_lost", (("proto", proto.value),))
+            for proto in IpProtocol
         ]
         self._refresh_fast_path()
         if trace is not None:
@@ -253,20 +248,19 @@ class Link:
     @property
     def sent_by_proto(self) -> Dict[IpProtocol, int]:
         """Per-protocol sent counts (protocols actually seen only)."""
-        return {p: c.value for p, c in self._sent_handles.items() if c.value}
+        return {p: c.value for p, c in zip(IpProtocol, self._sent_by_index) if c.value}
 
     @property
     def lost_by_proto(self) -> Dict[IpProtocol, int]:
         """Per-protocol loss counts (protocols actually seen only)."""
-        return {p: c.value for p, c in self._lost_handles.items() if c.value}
+        return {p: c.value for p, c in zip(IpProtocol, self._lost_by_index) if c.value}
 
     def attach(self, node: "Node", ip) -> None:
         """Attach *node*'s interface at *ip* to this segment."""
         address = IPv4Address(ip)
-        if address in self._owner_index:
+        if address._value in self._owner_values:
             raise ValueError(f"duplicate IP {address} on link {self.name}")
         self._attachments.append((node, address))
-        self._owner_index[address] = node
         self._owner_values[address._value] = node
         self._dispatch.clear()
 
@@ -278,7 +272,6 @@ class Link:
         the wire when it left the segment.
         """
         self._attachments = [(n, ip) for n, ip in self._attachments if n is not node]
-        self._owner_index = {ip: n for n, ip in self._attachments}
         self._owner_values = {ip._value: n for n, ip in self._attachments}
         self._dispatch.clear()
         for seq, (timer, sender, receiver, packet) in list(self._in_flight.items()):
@@ -351,7 +344,7 @@ class Link:
 
     def owner_of(self, ip) -> Optional["Node"]:
         """Node whose interface on this link owns *ip*, if any."""
-        return self._owner_index.get(IPv4Address(ip))
+        return self._owner_values.get(IPv4Address(ip)._value)
 
     def transmit(self, packet: Packet, sender: "Node", next_hop_ip) -> bool:
         """Send *packet* toward the attached interface owning *next_hop_ip*.
@@ -361,15 +354,15 @@ class Link:
         on the wire — exactly how a datagram to a non-existent private host
         behaves in the paper's §3.4 scenario.
         """
+        try:
+            nh_value = next_hop_ip._value
+        except AttributeError:  # next hop given as str/int/bytes
+            nh_value = IPv4Address(next_hop_ip)._value
         if self._fast:
             # Statistical fast path: the gate (see _refresh_fast_path) has
             # already proven every fault/trace/flight branch below is a
             # no-op, so this block only does the work that observably
             # happens — counter bumps and a coalesced delivery timer.
-            try:
-                nh_value = next_hop_ip._value
-            except AttributeError:  # next hop given as str/int/bytes
-                nh_value = IPv4Address(next_hop_ip)._value
             proto = packet.proto
             # Resolve (or validate) the direct-dispatch entry for this flow.
             # The entry memoises both the next-hop owner and the local
@@ -432,7 +425,7 @@ class Link:
             self._record(packet, sender, None, "link-down")
             self._flight_drop(packet, "link-down")
             return False
-        receiver = self._owner_index.get(IPv4Address(next_hop_ip))
+        receiver = self._owner_values.get(nh_value)
         if receiver is None or receiver is sender:
             self.packets_dropped += 1
             self._record(packet, sender, None, "no-next-hop")
@@ -462,14 +455,14 @@ class Link:
         profile = self._profile
         if profile.loss and self._rng.chance(profile.loss):
             self.packets_dropped += 1
-            self._lost_handles[packet.proto].inc()
+            self._lost_by_index[packet.proto.wire_index].value += 1
             self._record(packet, sender, receiver, "lost")
             self._flight_drop(packet, "lost")
             return False
         if profile.burst_enter and self._ge_burst_drops(packet):
             self.packets_dropped += 1
             self.burst_drops += 1
-            self._lost_handles[packet.proto].inc()
+            self._lost_by_index[packet.proto.wire_index].value += 1
             self._record(packet, sender, receiver, "burst-lost")
             self._flight_drop(packet, "burst-lost")
             return False
@@ -497,7 +490,7 @@ class Link:
         if dup:
             self.duplicates_delivered += 1
         self.bytes_sent += packet.size
-        self._sent_handles[packet.proto].inc()
+        self._sent_by_index[packet.proto.wire_index].value += 1
         self._record(packet, sender, receiver, "duplicated" if dup else "sent")
         self._schedule_delivery(packet, sender, receiver, delay)
         return True

@@ -71,35 +71,49 @@ class TcpFlags(enum.IntFlag):
         return "+".join(names) if names else "none"
 
 
+#: Plain-int flag bits for the segment path.  ``int & IntFlag`` dispatches
+#: to ``Flag.__rand__`` and builds a fresh enum member per test, so every
+#: flag test and combination between a segment's construction and its
+#: rendering uses these; :class:`TcpFlags` is kept for ``describe()``.
+FIN = 0x01
+SYN = 0x02
+RST = 0x04
+ACK = 0x10
+SYN_ACK = SYN | ACK
+RST_ACK = RST | ACK
+
+
 @dataclass(slots=True)
 class TcpHeader:
     """TCP segment header: flags and 32-bit sequence/ack numbers.
 
-    Treated as immutable once attached to a packet: :meth:`Packet.copy`
-    shares the header object between the original and the copy, so in-place
-    header mutation would alias across NAT hops.  Build a fresh header (or
-    ``dataclasses.replace``) instead of writing fields.
+    ``flags`` is a plain ``int`` of the bits above; :func:`tcp_packet`
+    converts a :class:`TcpFlags` argument.  Treated as immutable once
+    attached to a packet: :meth:`Packet.copy` shares the header object
+    between the original and the copy, so in-place header mutation would
+    alias across NAT hops.  Build a fresh header (or ``dataclasses.replace``)
+    instead of writing fields.
     """
 
-    flags: TcpFlags = TcpFlags.NONE
+    flags: int = 0
     seq: int = 0
     ack: int = 0
 
-    def has(self, flag: TcpFlags) -> bool:
+    def has(self, flag: int) -> bool:
         return bool(self.flags & flag)
 
     @property
     def is_syn_only(self) -> bool:
         """A "raw" SYN: connection-opening segment with no ACK (paper §4.4)."""
-        return self.has(TcpFlags.SYN) and not self.has(TcpFlags.ACK)
+        return self.flags & SYN_ACK == SYN
 
     @property
     def is_syn_ack(self) -> bool:
-        return self.has(TcpFlags.SYN) and self.has(TcpFlags.ACK)
+        return self.flags & SYN_ACK == SYN_ACK
 
     @property
     def is_rst(self) -> bool:
-        return self.has(TcpFlags.RST)
+        return bool(self.flags & RST)
 
 
 class IcmpType(enum.Enum):
@@ -201,7 +215,7 @@ class Packet:
         """One-line human-readable summary, used by traces and logs."""
         base = f"{self.proto.value} {self.src} -> {self.dst}"
         if self.tcp is not None:
-            base += f" [{self.tcp.flags.describe()} seq={self.tcp.seq} ack={self.tcp.ack}]"
+            base += f" [{TcpFlags(self.tcp.flags).describe()} seq={self.tcp.seq} ack={self.tcp.ack}]"
         if self.icmp is not None:
             base += f" [{self.icmp.icmp_type.value}]"
         if self.payload:
@@ -233,18 +247,22 @@ def udp_packet(src: Endpoint, dst: Endpoint, payload: bytes = b"") -> Packet:
 def tcp_packet(
     src: Endpoint,
     dst: Endpoint,
-    flags: TcpFlags,
+    flags: int,
     seq: int = 0,
     ack: int = 0,
     payload: bytes = b"",
 ) -> Packet:
-    """Convenience constructor for a TCP segment."""
+    """Convenience constructor for a TCP segment.
+
+    *flags* may be plain-int bits or a :class:`TcpFlags`; the header always
+    stores a plain ``int``.
+    """
     return Packet(
         proto=IpProtocol.TCP,
         src=src,
         dst=dst,
         payload=payload,
-        tcp=TcpHeader(flags=flags, seq=seq % (1 << 32), ack=ack % (1 << 32)),
+        tcp=TcpHeader(int(flags), seq % (1 << 32), ack % (1 << 32)),
     )
 
 

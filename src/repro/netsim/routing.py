@@ -62,7 +62,7 @@ class RoutingTable:
 
         Raises RoutingError if nothing matches (no default route installed).
         """
-        address = IPv4Address(destination)
+        address = destination if isinstance(destination, IPv4Address) else IPv4Address(destination)
         for route in self._routes:
             if address in route.prefix:
                 return route

@@ -44,9 +44,13 @@ from repro.netsim.addresses import Endpoint
 from repro.netsim.clock import Timer
 from repro.netsim.node import Host
 from repro.netsim.packet import (
+    ACK,
+    FIN,
+    RST,
+    RST_ACK,
+    SYN,
     IcmpError,
     Packet,
-    TcpFlags,
     tcp_packet,
 )
 from repro.obs.metrics import Counter
@@ -222,18 +226,13 @@ class TcpConnection:
     def abort(self) -> None:
         """Reset the connection (RST to peer, immediate local teardown)."""
         if self.state not in (TcpState.CLOSED, TcpState.TIME_WAIT):
-            self._send_flags(TcpFlags.RST | TcpFlags.ACK)
+            self._send_flags(RST_ACK)
         self._teardown(notify_close=True)
 
     # -- segment construction --------------------------------------------------
 
-    def _ack_args(self) -> Tuple[TcpFlags, int]:
-        if self.rcv_nxt is None:
-            return TcpFlags.NONE, 0
-        return TcpFlags.ACK, self.rcv_nxt
-
-    def _send_flags(self, flags: TcpFlags, seq: Optional[int] = None, payload: bytes = b"") -> None:
-        ack = self.rcv_nxt if (flags & TcpFlags.ACK and self.rcv_nxt is not None) else 0
+    def _send_flags(self, flags: int, seq: Optional[int] = None, payload: bytes = b"") -> None:
+        ack = self.rcv_nxt if (flags & ACK and self.rcv_nxt is not None) else 0
         self.stack.host.send(
             tcp_packet(
                 self.local,
@@ -249,13 +248,13 @@ class TcpConnection:
         entry.tries += 1
         if entry.tries > 1:
             self.stack.retransmits += 1
-        ack_flag, _ = self._ack_args()
+        ack_flag = 0 if self.rcv_nxt is None else ACK
         if entry.kind is _SegmentKind.SYN:
-            flags = TcpFlags.SYN | ack_flag
+            flags = SYN | ack_flag
         elif entry.kind is _SegmentKind.FIN:
-            flags = TcpFlags.FIN | ack_flag
+            flags = FIN | ack_flag
         else:
-            flags = TcpFlags.ACK if ack_flag else TcpFlags.NONE
+            flags = ack_flag
         self._send_flags(flags, seq=entry.seq, payload=entry.payload)
 
     def _enqueue_and_send(self, entry: _QueuedSegment) -> None:
@@ -361,22 +360,12 @@ class TcpConnection:
     def handle_segment(self, packet: Packet) -> None:
         """RFC-793-style per-state processing of one inbound segment."""
         header = packet.tcp
-        if header.is_rst:
+        if header.flags & RST:
             self._handle_rst(header)
             return
-        handler = {
-            TcpState.SYN_SENT: self._segment_in_syn_sent,
-            TcpState.SYN_RCVD: self._segment_in_syn_rcvd,
-            TcpState.ESTABLISHED: self._segment_in_established,
-            TcpState.FIN_WAIT_1: self._segment_in_established,
-            TcpState.FIN_WAIT_2: self._segment_in_established,
-            TcpState.CLOSE_WAIT: self._segment_in_established,
-            TcpState.CLOSING: self._segment_in_established,
-            TcpState.LAST_ACK: self._segment_in_established,
-            TcpState.TIME_WAIT: self._segment_in_time_wait,
-        }.get(self.state)
+        handler = _SEGMENT_HANDLERS.get(self.state)
         if handler is not None:
-            handler(packet)
+            handler(self, packet)
 
     def _handle_rst(self, header) -> None:
         if self.state is TcpState.CLOSED:
@@ -409,11 +398,11 @@ class TcpConnection:
         is nothing to validate against, so the RST is accepted.
         """
         if self.state is TcpState.SYN_SENT:
-            return header.has(TcpFlags.ACK) and header.ack == seq_add(self.iss, 1)
+            return bool(header.flags & ACK) and header.ack == seq_add(self.iss, 1)
         return self.rcv_nxt is None or header.seq == self.rcv_nxt
 
     def _acceptable_ack(self, header) -> bool:
-        return header.has(TcpFlags.ACK) and seq_ge(header.ack, seq_add(self.iss, 1)) and seq_ge(
+        return bool(header.flags & ACK) and seq_ge(header.ack, seq_add(self.iss, 1)) and seq_ge(
             self.snd_nxt, header.ack
         )
 
@@ -422,11 +411,11 @@ class TcpConnection:
         if header.is_syn_ack:
             if header.ack != seq_add(self.iss, 1):
                 # Ghost of an old connection: refuse it (RFC 793 page 72).
-                self._send_flags(TcpFlags.RST, seq=header.ack)
+                self._send_flags(RST, seq=header.ack)
                 return
             self.rcv_nxt = seq_add(header.seq, 1)
             self._ack_queue(header.ack)
-            self._send_flags(TcpFlags.ACK)
+            self._send_flags(ACK)
             self._become_established()
             return
         if header.is_syn_only:
@@ -452,24 +441,24 @@ class TcpConnection:
             if header.is_syn_ack:
                 # Crossed simultaneous open: their SYN-ACK both acks us and
                 # requires our ACK.
-                self._send_flags(TcpFlags.ACK)
+                self._send_flags(ACK)
             self._become_established()
             # Re-process any data/FIN piggybacked on the establishing segment.
-            if packet.payload or header.has(TcpFlags.FIN):
+            if packet.payload or header.flags & FIN:
                 self._segment_in_established(packet)
 
     def _segment_in_established(self, packet: Packet) -> None:
         header = packet.tcp
-        if header.has(TcpFlags.ACK):
+        if header.flags & ACK:
             self._ack_queue(header.ack)
         if packet.payload:
             self._receive_data(header.seq, packet.payload)
-        if header.has(TcpFlags.FIN):
+        if header.flags & FIN:
             self._receive_fin(header)
 
     def _segment_in_time_wait(self, packet: Packet) -> None:
-        if packet.tcp.has(TcpFlags.FIN):
-            self._send_flags(TcpFlags.ACK)
+        if packet.tcp.flags & FIN:
+            self._send_flags(ACK)
 
     def _ack_queue(self, ack: int) -> None:
         if not seq_ge(ack, self.snd_una):
@@ -497,17 +486,17 @@ class TcpConnection:
         if self.rcv_nxt is None:
             return
         if seq_ge(self.rcv_nxt, seq_add(seq, len(payload))):
-            self._send_flags(TcpFlags.ACK)  # pure duplicate
+            self._send_flags(ACK)  # pure duplicate
             return
         if seq != self.rcv_nxt:
             if seq_ge(seq, self.rcv_nxt):
                 self._ooo[seq] = payload
-            self._send_flags(TcpFlags.ACK)
+            self._send_flags(ACK)
             return
         self._deliver(payload)
         while self.rcv_nxt in self._ooo:
             self._deliver(self._ooo.pop(self.rcv_nxt))
-        self._send_flags(TcpFlags.ACK)
+        self._send_flags(ACK)
 
     def _deliver(self, payload: bytes) -> None:
         self.rcv_nxt = seq_add(self.rcv_nxt, len(payload))
@@ -520,7 +509,7 @@ class TcpConnection:
         if self.rcv_nxt is None or fin_seq != self.rcv_nxt:
             return  # FIN not yet in order
         self.rcv_nxt = seq_add(self.rcv_nxt, 1)
-        self._send_flags(TcpFlags.ACK)
+        self._send_flags(ACK)
         if self.state is TcpState.ESTABLISHED:
             self.state = TcpState.CLOSE_WAIT
             if self.on_close is not None:
@@ -546,6 +535,22 @@ class TcpConnection:
             f"TcpConnection({self.local} <-> {self.remote}, {self.state.value},"
             f" {'passive' if self.passive else 'active'})"
         )
+
+
+#: Per-state segment processing for :meth:`TcpConnection.handle_segment`
+#: (CLOSED and LISTEN ignore segments).  Built once: a per-segment dict
+#: literal would hash every key on each inbound segment.
+_SEGMENT_HANDLERS: Dict[TcpState, Callable[[TcpConnection, Packet], None]] = {
+    TcpState.SYN_SENT: TcpConnection._segment_in_syn_sent,
+    TcpState.SYN_RCVD: TcpConnection._segment_in_syn_rcvd,
+    TcpState.ESTABLISHED: TcpConnection._segment_in_established,
+    TcpState.FIN_WAIT_1: TcpConnection._segment_in_established,
+    TcpState.FIN_WAIT_2: TcpConnection._segment_in_established,
+    TcpState.CLOSE_WAIT: TcpConnection._segment_in_established,
+    TcpState.CLOSING: TcpConnection._segment_in_established,
+    TcpState.LAST_ACK: TcpConnection._segment_in_established,
+    TcpState.TIME_WAIT: TcpConnection._segment_in_time_wait,
+}
 
 
 class TcpListener:
@@ -858,11 +863,11 @@ class TcpStack:
         """RFC 793: refuse a segment for a non-existent connection."""
         self.rsts_sent += 1
         header = packet.tcp
-        if header.has(TcpFlags.ACK):
-            rst = tcp_packet(packet.dst, packet.src, TcpFlags.RST, seq=header.ack)
+        if header.flags & ACK:
+            rst = tcp_packet(packet.dst, packet.src, RST, seq=header.ack)
         else:
-            ack = seq_add(header.seq, (1 if header.has(TcpFlags.SYN) else 0) + len(packet.payload))
-            rst = tcp_packet(packet.dst, packet.src, TcpFlags.RST | TcpFlags.ACK, seq=0, ack=ack)
+            ack = seq_add(header.seq, (1 if header.flags & SYN else 0) + len(packet.payload))
+            rst = tcp_packet(packet.dst, packet.src, RST_ACK, seq=0, ack=ack)
         self.host.send(rst)
 
     def handle_icmp(self, error: IcmpError) -> None:

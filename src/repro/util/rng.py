@@ -16,6 +16,12 @@ import random
 class SeededRng:
     """A named, forkable wrapper around :class:`random.Random`.
 
+    The underlying :class:`random.Random` is derived from
+    ``sha256(f"{seed}:{name}")`` on the first draw, not at construction:
+    most generators a topology builds never draw, and the hash plus the
+    Mersenne Twister seeding dominate their cost.  The stream is the same
+    either way.
+
     Args:
         seed: any integer; identical seeds yield identical streams.
         name: namespace label mixed into the seed so sibling generators
@@ -25,8 +31,15 @@ class SeededRng:
     def __init__(self, seed: int = 0, name: str = "root") -> None:
         self.seed = seed
         self.name = name
-        digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
+
+    def __getattr__(self, attr: str):
+        # Only reached while ``_random`` is unset: the first draw seeds it
+        # and later draws find it in the instance dict.
+        if attr != "_random":
+            raise AttributeError(attr)
+        digest = hashlib.sha256(f"{self.seed}:{self.name}".encode()).digest()
         self._random = random.Random(int.from_bytes(digest[:8], "big"))
+        return self._random
 
     def child(self, name: str) -> "SeededRng":
         """Derive an independent generator namespaced under *name*."""

@@ -1,5 +1,9 @@
 """Unit tests for the util package: seeded RNG and error hierarchy."""
 
+import hashlib
+import pickle
+import random
+
 import pytest
 
 from repro.util.errors import (
@@ -72,6 +76,84 @@ class TestSeededRng:
         rng = SeededRng(1)
         s = rng.sample(range(100), 10)
         assert len(s) == len(set(s)) == 10
+
+
+def eager_random(seed, name):
+    """The generator ``SeededRng(seed, name)`` is defined to wrap."""
+    digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def draw_mix(rng):
+    """A fixed mix of draws, through either wrapper or a bare Random."""
+    items = list(range(17))
+    out = []
+    for _ in range(5):
+        if isinstance(rng, SeededRng):
+            out += [rng.random(), rng.randint(0, 1000), rng.bytes(5),
+                    rng.nonce64(), rng.choice(items)]
+        else:
+            out += [rng.random(), rng.randint(0, 1000),
+                    rng.getrandbits(40).to_bytes(5, "big"),
+                    rng.getrandbits(64), rng.choice(items)]
+    return out
+
+
+class TestLazySeeding:
+    """``SeededRng`` seeds its ``random.Random`` on the first draw; the
+    streams must equal eager seeding."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 3, -7])
+    @pytest.mark.parametrize("name", ["root", "network", "nat/NAT-DUT", "stack/client"])
+    def test_streams_equal_eager_seeding(self, seed, name):
+        assert draw_mix(SeededRng(seed, name)) == draw_mix(eager_random(seed, name))
+
+    def test_child_of_parent_that_never_drew(self):
+        parent = SeededRng(9, "network")
+        child = parent.child("dut").child("tcp")
+        assert "_random" not in vars(parent)
+        assert draw_mix(child) == draw_mix(eager_random(9, "network/dut/tcp"))
+        assert draw_mix(parent) == draw_mix(eager_random(9, "network"))
+
+    def test_construction_does_not_seed(self):
+        rng = SeededRng(3, "idle")
+        assert "_random" not in vars(rng)
+        rng.random()
+        assert "_random" in vars(rng)
+
+    def test_missing_attributes_still_raise(self):
+        with pytest.raises(AttributeError):
+            SeededRng(1).no_such_attribute
+
+    @pytest.mark.parametrize("draws_first", [False, True])
+    def test_pickle_round_trip_keeps_stream(self, draws_first):
+        rng = SeededRng(11, "pickled")
+        if draws_first:
+            rng.random()
+        clone = pickle.loads(pickle.dumps(rng))
+        assert draw_mix(clone) == draw_mix(rng)
+
+    def test_check_device_seeds_fewer_generators_than_it_builds(self, monkeypatch):
+        from repro.nat.behavior import WELL_BEHAVED
+        from repro.natcheck.fleet import check_device
+
+        counts = {"built": 0, "seeded": 0}
+        build, seed = SeededRng.__init__, random.Random.__init__
+
+        def counting_build(self, *args, **kwargs):
+            counts["built"] += 1
+            build(self, *args, **kwargs)
+
+        def counting_seed(self, *args, **kwargs):
+            counts["seeded"] += 1
+            seed(self, *args, **kwargs)
+
+        monkeypatch.setattr(SeededRng, "__init__", counting_build)
+        monkeypatch.setattr(random.Random, "__init__", counting_seed)
+        report = check_device(WELL_BEHAVED, seed=3)
+        assert report.udp_punch_ok
+        assert counts["built"] > 0
+        assert counts["seeded"] < counts["built"]
 
 
 class TestErrors:
