@@ -212,12 +212,15 @@ class Scheduler:
         ``run_while`` predicate boundaries are byte-identical to scheduling
         one timer per item.  Only the heap traffic is coalesced.
 
-        Contract for callers: append only while (a) no other timer has been
-        created since this one (``_seq`` unchanged — the items would have
-        held consecutive sequence numbers, so firing them back-to-back
-        preserves insertion-order tie-breaking exactly) and (b) the timer is
-        still active.  :class:`repro.netsim.link.Link` is the intended
-        caller and enforces both.
+        Contract for callers: append only when the item would fire exactly
+        as a fresh timer would — (a) no other timer has been created since
+        this one (``_seq`` unchanged — the items would have held consecutive
+        sequence numbers, so firing them back-to-back preserves
+        insertion-order tie-breaking exactly), (b) the timer has not fired,
+        (c) a fresh timer would have the same ``when``, and (d) the current
+        :attr:`context` equals the timer's ``_ctx`` (each item fires under
+        the batch's context).  :class:`repro.netsim.link.Link` is the
+        intended caller and enforces all four.
         """
         timer = self.call_later(delay, fire_item)
         timer._items = []
@@ -306,11 +309,13 @@ class Scheduler:
             self._now = when
             i = timer._inext
             callback = timer._callback
-            # Context is constant across the batch and nothing inside a
-            # delivery callback reassigns it, so set it once; events_fired is
-            # accumulated locally and flushed after the drain (per-item
-            # attribute bumps are measurable at batch sizes in the thousands).
-            self.context = timer._ctx
+            # Every item fires under the batch's context, restored per item
+            # exactly as step() does: a delivery callback may open an attempt
+            # (reassigning the context), and that must not leak into the next
+            # item.  events_fired is accumulated locally and flushed after
+            # the drain (per-item attribute bumps are measurable at batch
+            # sizes in the thousands).
+            ctx = timer._ctx
             fired = 0
             try:
                 # len() is re-read every pass: a same-instant transmit on a
@@ -318,6 +323,7 @@ class Scheduler:
                 while i < len(items):
                     timer._inext = i + 1
                     fired += 1
+                    self.context = ctx
                     callback(items[i])
                     if timer._cancelled:
                         # Cancelled mid-drain (e.g. the link went down in a

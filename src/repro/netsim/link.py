@@ -14,9 +14,9 @@ drawn from the owning network's seeded RNG, so runs are reproducible.
 
 from __future__ import annotations
 
-import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.netsim.addresses import IPv4Address
 from repro.netsim.clock import Scheduler, Timer
@@ -103,11 +103,6 @@ BACKBONE_LINK = LinkProfile(latency=0.005)
 class Link:
     """An L2 segment with one or more attached node interfaces."""
 
-    #: Class-wide switch for the statistical fast path.  The trace-identity
-    #: suite flips this off to prove the fast path is behaviourally inert;
-    #: everything else leaves it on.
-    fast_path_enabled = True
-
     def __init__(
         self,
         scheduler: Scheduler,
@@ -118,12 +113,12 @@ class Link:
     ) -> None:
         self.scheduler = scheduler
         self.name = name
-        self._profile = profile or LinkProfile()
+        self.profile = profile or LinkProfile()
         self._rng = rng or SeededRng(0, f"link/{name}")
         self._trace = trace
         #: FlightRecorder set by ``Network.attach_flight``; None (the
         #: default) keeps every drop site to a single attribute test.
-        self._flight = None
+        self.flight = None
         self._attachments: List[Tuple["Node", IPv4Address]] = []
         #: Owner index keyed by the raw 32-bit address value: int probes
         #: hash at C speed, IPv4Address probes pay a Python-level
@@ -132,37 +127,26 @@ class Link:
         self._busy_until = 0.0
         self._up = True
         self._ge_bad = False  # Gilbert-Elliott state: currently in a burst?
-        #: Scheduled-but-undelivered packets: seq -> (timer, sender, receiver,
-        #: packet).  Needed so link flaps and node detachment can drop
-        #: in-flight traffic instead of delivering to a dead segment/host.
-        self._in_flight: Dict[int, Tuple[Timer, "Node", "Node", Packet]] = {}
-        self._flight_seq = itertools.count()
-        #: Pending coalesced-delivery timers (fast path only; see
-        #: Scheduler.call_later_batched), insertion-ordered so flap/detach
-        #: drops replay in schedule order.  Items are (sender, receiver,
-        #: packet, dispatch-entry) 4-tuples; a detached entry is nulled in
-        #: place.
-        self._batches: Dict[int, Timer] = {}
+        #: Every scheduled-but-undelivered packet, as delivery batches (see
+        #: Scheduler.call_later_batched) in creation order, so link flaps and
+        #: node detachment can drop in-flight traffic — in schedule order —
+        #: instead of delivering to a dead segment/host.  Items are (sender,
+        #: receiver, packet, dispatch-entry) 4-tuples; a detached entry is
+        #: nulled in place.  Spent batches are purged from the front.
+        self._batches: Deque[Timer] = deque()
         #: Direct-dispatch memo: ``dst._key * 4 + proto.wire_index`` ->
         #: ``(deliver, delivery_version, receiver, nh_value)``.  *deliver* is
         #: the callable :meth:`_fire_delivery` invokes instead of the
-        #: ``receiver.receive`` trampoline (None = always slow path, e.g.
+        #: ``receiver.receive`` trampoline (None = always ``receive()``, e.g.
         #: forwarding receivers); *delivery_version* is the receiver's
         #: :attr:`Node._delivery_version` at resolve time (None = never
         #: stale) and is re-checked both at transmit and at fire, so a stack
-        #: detach or socket close between the two falls back to the slow
-        #: path; *nh_value* is the raw next-hop IP the receiver was resolved
-        #: from, so a transmit hit skips the owner-index probe.  Cleared
-        #: whenever the attachment set changes — receiver identity per
-        #: next-hop is part of what the entry memoises.
+        #: detach or socket close between the two falls back to
+        #: ``receive()``; *nh_value* is the raw next-hop IP the receiver was
+        #: resolved from, so a transmit hit skips the owner-index probe.
+        #: Cleared whenever the attachment set changes — receiver identity
+        #: per next-hop is part of what the entry memoises.
         self._dispatch: Dict[int, tuple] = {}
-        self._open_batch: Optional[Timer] = None
-        #: Scheduler tick at which ``_open_batch`` was created.  While the
-        #: batch stays open the latency is constant (``_refresh_fast_path``
-        #: closes it on any profile change), so ``_open_tick == now`` is
-        #: equivalent to the full ``batch.when == now + latency`` compare.
-        self._open_tick = -1.0
-        self._batch_ids = itertools.count()
         self.packets_dropped = 0
         self.queue_drops = 0
         self.flap_drops = 0
@@ -182,9 +166,6 @@ class Link:
             Counter("link.packets_lost", (("proto", proto.value),))
             for proto in IpProtocol
         ]
-        self._refresh_fast_path()
-        if trace is not None:
-            trace.subscribe(self._refresh_fast_path)
 
     @property
     def packets_sent(self) -> int:
@@ -196,54 +177,6 @@ class Link:
         snapshot time.
         """
         return sum(counter.value for counter in self._sent_by_index)
-
-    # -- statistical fast path ---------------------------------------------------
-
-    @property
-    def profile(self) -> LinkProfile:
-        return self._profile
-
-    @profile.setter
-    def profile(self, value: LinkProfile) -> None:
-        self._profile = value
-        self._refresh_fast_path()
-
-    def set_flight(self, flight) -> None:
-        """Attach (or detach, with None) a flight recorder."""
-        self._flight = flight
-        self._refresh_fast_path()
-
-    def _refresh_fast_path(self) -> None:
-        """Re-evaluate the once-per-change gate for the per-packet fast path.
-
-        The fast path is legal exactly when every per-packet branch of the
-        slow path is statically known to be a no-op: link up, no flight
-        recorder, trace absent or disabled, and a plain profile (no loss,
-        burst, jitter, bandwidth, duplication, or reordering).  Zero-valued
-        fault knobs draw no RNG on the slow path either (pinned by
-        ``test_defaults_draw_no_rng``), so both paths consume identical RNG
-        streams — the fast path is observably inert.
-
-        Called from ``__init__``, the ``profile`` setter, :meth:`up` /
-        :meth:`down`, :meth:`set_flight`, and trace enable/disable
-        subscriptions; see docs/performance.md for the invalidation matrix.
-        """
-        p = self._profile
-        self._fast = (
-            self.fast_path_enabled
-            and self._up
-            and self._flight is None
-            and (self._trace is None or not self._trace.enabled)
-            and p.bandwidth_bps is None
-            and not (
-                p.loss or p.jitter or p.burst_enter or p.duplicate or p.reorder
-            )
-        )
-        self._fast_latency = p.latency
-        # Close any open coalescing batch: the tick-equality append check in
-        # ``transmit`` assumes the latency has not changed since the batch
-        # was created, and every latency-changing event funnels through here.
-        self._open_batch = None
 
     @property
     def sent_by_proto(self) -> Dict[IpProtocol, int]:
@@ -274,14 +207,7 @@ class Link:
         self._attachments = [(n, ip) for n, ip in self._attachments if n is not node]
         self._owner_values = {ip._value: n for n, ip in self._attachments}
         self._dispatch.clear()
-        for seq, (timer, sender, receiver, packet) in list(self._in_flight.items()):
-            if receiver is node:
-                timer.cancel()
-                del self._in_flight[seq]
-                self.packets_dropped += 1
-                self._record(packet, sender, receiver, "detach-drop")
-                self._flight_drop(packet, "detach-drop")
-        for timer in self._batches.values():
+        for timer in self._batches:
             items = timer._items
             for i in range(timer._inext, len(items)):
                 item = items[i]
@@ -307,14 +233,7 @@ class Link:
             return
         self._up = False
         self._ge_bad = False
-        for timer, sender, receiver, packet in self._in_flight.values():
-            timer.cancel()
-            self.packets_dropped += 1
-            self.flap_drops += 1
-            self._record(packet, sender, receiver, "flap-drop")
-            self._flight_drop(packet, "flap-drop")
-        self._in_flight.clear()
-        for timer in self._batches.values():
+        for timer in self._batches:
             items = timer._items
             for i in range(timer._inext, len(items)):
                 item = items[i]
@@ -325,8 +244,6 @@ class Link:
                     self._flight_drop(item[2], "flap-drop")
             timer.cancel()
         self._batches.clear()
-        self._open_batch = None
-        self._refresh_fast_path()
 
     def up(self) -> None:
         """Bring the segment back; the transmit queue restarts empty and the
@@ -336,7 +253,6 @@ class Link:
         self._up = True
         self._busy_until = 0.0
         self._ge_bad = False
-        self._refresh_fast_path()
 
     @property
     def attached_nodes(self) -> List["Node"]:
@@ -354,105 +270,62 @@ class Link:
         on the wire — exactly how a datagram to a non-existent private host
         behaves in the paper's §3.4 scenario.
         """
-        try:
-            nh_value = next_hop_ip._value
-        except AttributeError:  # next hop given as str/int/bytes
-            nh_value = IPv4Address(next_hop_ip)._value
-        if self._fast:
-            # Statistical fast path: the gate (see _refresh_fast_path) has
-            # already proven every fault/trace/flight branch below is a
-            # no-op, so this block only does the work that observably
-            # happens — counter bumps and a coalesced delivery timer.
-            proto = packet.proto
-            # Resolve (or validate) the direct-dispatch entry for this flow.
-            # The entry memoises both the next-hop owner and the local
-            # delivery target, so a hit skips the owner-index probe here and
-            # the full demux at fire time; a next-hop mismatch (two next
-            # hops sharing a dst key on one segment) or a stale delivery
-            # version re-resolves.
-            entry = self._dispatch.get(packet.dst._key * 4 + proto.wire_index)
-            if entry is None or entry[3] != nh_value:
-                receiver = self._owner_values.get(nh_value)
-                if receiver is None or receiver is sender:
-                    self.packets_dropped += 1
-                    return False
-                entry = self._resolve_dispatch(packet.dst, proto, receiver, nh_value)
-            else:
-                receiver = entry[2]
-                if receiver is sender:
-                    self.packets_dropped += 1
-                    return False
-                version = entry[1]
-                if version is not None and version != receiver._delivery_version:
-                    entry = self._resolve_dispatch(packet.dst, proto, receiver, nh_value)
-            self.bytes_sent += proto.header_bytes + len(packet.payload)
-            self._sent_by_index[proto.wire_index].value += 1
-            scheduler = self.scheduler
-            batch = self._open_batch
-            if (
-                batch is not None
-                and batch._bseq == scheduler._seq
-                and not batch._fired
-                and self._open_tick == scheduler._now
-            ):
-                # No timer was created since the batch's own, so this
-                # delivery would have drawn the very next sequence number at
-                # the same deadline — appending preserves fire order exactly.
-                batch._items.append((sender, receiver, packet, entry))
-            else:
-                batches = self._batches
-                # Batches drain in creation order (constant latency), so
-                # purging spent timers from the front keeps the pending set
-                # small on long runs.
-                while batches:
-                    bid0 = next(iter(batches))
-                    if batches[bid0]._fired:
-                        del batches[bid0]
-                    else:
-                        break
-                batch = scheduler.call_later_batched(
-                    self._fast_latency, self._fire_delivery
-                )
-                batch._bseq = scheduler._seq
-                batch._items.append((sender, receiver, packet, entry))
-                batches[next(self._batch_ids)] = batch
-                self._open_batch = batch
-                self._open_tick = scheduler._now
-            return True
         if not self._up:
             self.packets_dropped += 1
             self.flap_drops += 1
             self._record(packet, sender, None, "link-down")
             self._flight_drop(packet, "link-down")
             return False
-        receiver = self._owner_values.get(nh_value)
+        try:
+            nh_value = next_hop_ip._value
+        except AttributeError:  # next hop given as str/int/bytes
+            nh_value = IPv4Address(next_hop_ip)._value
+        proto = packet.proto
+        # Resolve (or validate) the direct-dispatch entry for this flow.  The
+        # entry memoises both the next-hop owner and the local delivery
+        # target, so a hit skips the owner-index probe here and the full
+        # demux at fire time; a next-hop mismatch (two next hops sharing a
+        # dst key on one segment) or a stale delivery version re-resolves.
+        entry = self._dispatch.get(packet.dst._key * 4 + proto.wire_index)
+        if entry is not None and entry[3] == nh_value:
+            receiver = entry[2]
+            version = entry[1]
+            if version is not None and version != receiver._delivery_version:
+                entry = None
+        else:
+            entry = None
+            receiver = self._owner_values.get(nh_value)
         if receiver is None or receiver is sender:
             self.packets_dropped += 1
             self._record(packet, sender, None, "no-next-hop")
             self._flight_drop(packet, "no-next-hop")
             return False
-        if not self._wire_one(packet, sender, receiver, 0.0, dup=False):
+        if entry is None:
+            entry = self._resolve_dispatch(packet.dst, proto, receiver, nh_value)
+        if not self._wire_one(packet, sender, entry):
             return False
-        if self.profile.duplicate and self._rng.chance(self.profile.duplicate):
+        duplicate = self.profile.duplicate
+        if duplicate and self._rng.chance(duplicate):
             # A duplicated datagram trails its original by one extra latency
             # and is charged/checked like any other wire packet: it takes its
             # own loss and burst draws, pays the serialization charge, and
             # can tail-drop — a duplicate is not exempt from the link model.
-            self._wire_one(packet, sender, receiver, self.profile.latency, dup=True)
+            self._wire_one(packet, sender, entry, True)
         return True
 
     def _wire_one(
         self,
         packet: Packet,
         sender: "Node",
-        receiver: "Node",
-        extra_delay: float,
-        dup: bool,
+        entry: tuple,
+        dup: bool = False,
     ) -> bool:
         """Put one packet (original or duplicate copy) on the wire: fault
         draws, bandwidth charge, and delivery scheduling.  Returns True if a
-        delivery was scheduled."""
-        profile = self._profile
+        delivery was scheduled.  Each fault draw is guarded by its own knob,
+        so a zero-valued knob draws no RNG."""
+        profile = self.profile
+        receiver = entry[2]
         if profile.loss and self._rng.chance(profile.loss):
             self.packets_dropped += 1
             self._lost_by_index[packet.proto.wire_index].value += 1
@@ -466,11 +339,14 @@ class Link:
             self._record(packet, sender, receiver, "burst-lost")
             self._flight_drop(packet, "burst-lost")
             return False
-        delay = profile.latency + extra_delay
+        delay = profile.latency
+        if dup:
+            delay += profile.latency
         if profile.jitter:
             delay += self._rng.uniform(0.0, profile.jitter)
+        scheduler = self.scheduler
         if profile.bandwidth_bps is not None:
-            now = self.scheduler.now
+            now = scheduler._now
             queue_wait = max(0.0, self._busy_until - now)
             if (
                 profile.max_queue_delay is not None
@@ -489,10 +365,33 @@ class Link:
             self.packets_reordered += 1
         if dup:
             self.duplicates_delivered += 1
-        self.bytes_sent += packet.size
-        self._sent_by_index[packet.proto.wire_index].value += 1
-        self._record(packet, sender, receiver, "duplicated" if dup else "sent")
-        self._schedule_delivery(packet, sender, receiver, delay)
+        proto = packet.proto
+        self.bytes_sent += proto.header_bytes + len(packet.payload)
+        self._sent_by_index[proto.wire_index].value += 1
+        trace = self._trace
+        if trace is not None and trace.enabled:
+            self._record(packet, sender, receiver, "duplicated" if dup else "sent")
+        item = (sender, receiver, packet, entry)
+        batches = self._batches
+        if batches:
+            batch = batches[-1]
+            if (
+                batch._bseq == scheduler._seq
+                and not batch._fired
+                and batch.when == scheduler._now + delay
+                and batch._ctx == scheduler.context
+            ):
+                # No timer was created since the batch's own, and a fresh
+                # timer would fire at the same instant under the same causal
+                # context: it would have drawn the very next sequence number,
+                # so appending preserves fire order and context exactly.
+                batch._items.append(item)
+                return True
+            while batches and batches[0]._fired:
+                batches.popleft()
+        batch = scheduler.call_later_batched(delay, self._fire_delivery)
+        batch._items.append(item)
+        batches.append(batch)
         return True
 
     def _resolve_dispatch(
@@ -501,8 +400,8 @@ class Link:
         """Build and memoise the direct-dispatch entry for (dst, proto) via
         *receiver* — see the ``_dispatch`` attribute docs for the layout.
 
-        Forwarding receivers (routers, NATs) get a permanent slow-path entry
-        (``version`` None: ``forwards_packets`` is a class property, so the
+        Forwarding receivers (routers, NATs) get a permanent ``receive()``
+        entry (``version`` None: ``forwards_packets`` is a class property, so the
         answer can never go stale); host receivers resolve through
         :meth:`Node.resolve_dispatch` and are pinned to the host's current
         delivery version.  *nh_value* — the raw next-hop IP the entry was
@@ -512,8 +411,8 @@ class Link:
         if receiver.forwards_packets:
             entry = (None, None, receiver, nh_value)
         elif dst.ip._value not in receiver._local_ips:
-            # Not locally addressed (the host will drop it): slow path, but
-            # re-resolved if the host grows an interface.
+            # Not locally addressed (the host will drop it): ``receive()``,
+            # but re-resolved if the host grows an interface.
             entry = (None, receiver._delivery_version, receiver, nh_value)
         else:
             entry = (
@@ -552,21 +451,10 @@ class Link:
             self._ge_bad = True
         return self._ge_bad and self._rng.chance(self.profile.burst_loss)
 
-    def _schedule_delivery(
-        self, packet: Packet, sender: "Node", receiver: "Node", delay: float
-    ) -> None:
-        seq = next(self._flight_seq)
-        timer = self.scheduler.call_later(delay, self._deliver, seq)
-        self._in_flight[seq] = (timer, sender, receiver, packet)
-
-    def _deliver(self, seq: int) -> None:
-        _, _, receiver, packet = self._in_flight.pop(seq)
-        receiver.receive(packet, self)
-
     def _flight_drop(self, packet: Packet, reason: str) -> None:
         """Flight-record a wire drop; drop paths only, never the send path."""
-        if self._flight is not None:
-            self._flight.packet_event(
+        if self.flight is not None:
+            self.flight.packet_event(
                 "link.drop", packet, link=self.name, reason=reason
             )
 

@@ -68,7 +68,7 @@ class Network:
             trace=self.trace,
         )
         if self.flight is not None:
-            link.set_flight(self.flight)
+            link.flight = self.flight
         self.links[name] = link
         return link
 
@@ -96,7 +96,7 @@ class Network:
                 capacity=capacity if capacity is not None else DEFAULT_CAPACITY,
             )
             for link in self.links.values():
-                link.set_flight(self.flight)
+                link.flight = self.flight
             for node in self.nodes.values():
                 node.flight = self.flight
         return self.flight

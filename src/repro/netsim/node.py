@@ -64,7 +64,7 @@ class Node:
         self._handlers_by_index: List = [None] * len(IpProtocol)
         #: Optional per-protocol dispatch resolvers (see
         #: :meth:`resolve_dispatch`); transport stacks install one to bind
-        #: fast-path deliveries straight onto their sockets.
+        #: link deliveries straight onto their sockets.
         self._dispatch_resolvers: List = [None] * len(IpProtocol)
         #: Local-delivery epoch.  Every cached direct-dispatch entry (see
         #: ``Link._dispatch``) records the version it was resolved under and
@@ -129,7 +129,7 @@ class Node:
         replaces the handler (used by tests to interpose observers).
 
         *resolver*, if given, is ``resolver(dst) -> deliver``: a
-        finer-grained dispatch hook that lets fast-path deliveries land
+        finer-grained dispatch hook that lets link deliveries land
         straight in the destination socket (see :meth:`resolve_dispatch`).
         """
         self._protocol_handlers[proto] = handler
@@ -150,8 +150,8 @@ class Node:
 
         Returns the callable :meth:`Link._fire_delivery` invokes instead of
         :meth:`receive` — the protocol's resolver answer if one is
-        registered, else the plain protocol handler — or None to force the
-        slow path.  Entries derived from this answer are validated against
+        registered, else the plain protocol handler — or None to force
+        :meth:`receive`.  Entries derived from this answer are validated against
         :attr:`_delivery_version` on every use, so a stale binding can never
         deliver — it falls back to :meth:`receive`.
         """

@@ -14,7 +14,10 @@ from repro.netsim.packet import IpProtocol, Packet
 class TraceRecord:
     """One observed wire event.
 
-    ``event`` is one of ``"sent"``, ``"lost"``, ``"no-next-hop"``.
+    ``event`` is one of the nine events :class:`~repro.netsim.link.Link`
+    records: ``"sent"``, ``"duplicated"``, ``"lost"``, ``"burst-lost"``,
+    ``"queue-drop"``, ``"no-next-hop"``, ``"link-down"``, ``"flap-drop"``,
+    ``"detach-drop"``.
     """
 
     time: float
@@ -42,30 +45,10 @@ class PacketTrace:
     def __init__(self, enabled: bool = False, capacity: int = 1_000_000) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        self._enabled = enabled
-        #: Callbacks run whenever ``enabled`` flips; links subscribe so their
-        #: precomputed fast-path flag tracks mid-run enable()/disable().
-        self._listeners: List[Callable[[], None]] = []
+        self.enabled = enabled
         self.capacity = capacity
         self._records: Deque[TraceRecord] = deque(maxlen=capacity)
         self.dropped_records = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        value = bool(value)
-        if value == self._enabled:
-            return
-        self._enabled = value
-        for listener in self._listeners:
-            listener()
-
-    def subscribe(self, listener: Callable[[], None]) -> None:
-        """Register a callback invoked whenever :attr:`enabled` changes."""
-        self._listeners.append(listener)
 
     @property
     def records(self) -> List[TraceRecord]:

@@ -39,7 +39,7 @@ class HostStack:
             rst_seq_validation=rst_seq_validation,
             icmp_validation=icmp_validation,
         )
-        # UDP registers a dispatch resolver so fast-path deliveries land
+        # UDP registers a dispatch resolver so link deliveries land
         # straight in the bound socket; TCP and ICMP use the generic handler
         # binding (still one frame shorter than receive()).
         host.register_protocol(
@@ -54,9 +54,9 @@ class HostStack:
         Locally-addressed packets drop afterwards, exactly as on a host that
         never attached a stack; the delivery-version bumps inside
         ``unregister_protocol`` invalidate every direct-dispatch entry bound
-        to this stack, so in-flight fast-path deliveries fall back to the
-        slow path (and its drop accounting) rather than landing in a
-        detached stack.
+        to this stack, so in-flight deliveries fall back to ``receive()``
+        (and its drop accounting) rather than landing in a detached
+        stack.
         """
         host = self.host
         host.unregister_protocol(IpProtocol.UDP)

@@ -181,7 +181,7 @@ class UdpStack:
 
     def resolve_dispatch(self, dst: Endpoint) -> Optional[Callable]:
         """Direct-dispatch resolver (see :meth:`Node.resolve_dispatch`):
-        bind fast-path deliveries for *dst* straight onto the owning
+        bind link deliveries for *dst* straight onto the owning
         socket's :meth:`UdpSocket._deliver_direct`."""
         sock = self._by_key.get(dst._key)
         if sock is None or sock.closed:

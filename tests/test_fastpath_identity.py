@@ -1,27 +1,26 @@
-"""Trace-identity suite for the statistical link fast path.
+"""Pinned-value identity suite for the link transmit path.
 
-The fast path (``Link._fast``, gated by :meth:`Link._refresh_fast_path`) must
-be *observably inert*: flipping the class-wide ``Link.fast_path_enabled``
-switch off may change only wall-clock time, never a single observable — not
-a delivery time, not a counter, not a trace record, not a flight-recorder
-event.  This suite pins that property three ways:
+Every packet takes one transmit path — fault draws, then a batched delivery
+timer (``Scheduler.call_later_batched``) and direct dispatch into the
+resolved transport handler — whether or not a flight recorder or packet
+trace is attached.  The expected values below were captured from a build
+that also had a second, per-packet path (its own timer per packet and the
+``Node.receive()`` demux, no batching, no direct dispatch), with every link
+forced onto that path.  The one path must reproduce them exactly:
 
-* the ``--explain`` post-mortem scenarios, byte-identical flight
-  timelines and rendered verdicts either way (their recorder keeps both
-  sides on the slow path, so these pin only the gate);
-* the NAT echo workload (the ``nat_packets_per_second`` bench topology),
-  identical arrival timelines and counters either way;
-* a plain-profile network whose ``PacketTrace`` is enabled mid-run, so the
-  capture window opens while the fast path is engaged — the trace
-  subscription must flip the gate and the captured records must match a
-  run that never used the fast path at all.
+* the ``--explain`` post-mortem scenarios: sha256 of the flight JSONL and of
+  the rendered verdicts (their recorder used to keep the old fast path off);
+* the NAT echo workload (the ``nat_packets_per_second`` bench topology):
+  arrival timeline and counters;
+* a plain-profile network whose ``PacketTrace`` is enabled mid-run: the
+  captured records.
 
-The echo and mid-run-trace identities carry a witness that their fast side
-really took the fast path (batched delivery timers, no ``Link._wire_one``),
-so neither can pass by comparing the slow path with itself.
+Each test carries a witness that its run really took the batched path (and,
+for the echo, direct dispatch), so a delivery that diverges from the
+``receive()`` demux changes a pinned value.
 """
 
-import contextlib
+import hashlib
 
 import pytest
 
@@ -30,40 +29,67 @@ from repro.nat import behavior as B
 from repro.nat.device import NatDevice
 from repro.netsim.addresses import Endpoint
 from repro.netsim.clock import Scheduler
-from repro.netsim.link import LAN_LINK, Link, LinkProfile
+from repro.netsim.link import LAN_LINK
 from repro.netsim.network import Network
+from repro.netsim.packet import IpProtocol
 from repro.obs.attribution import render_verdict
 from repro.obs.flight_export import to_jsonl
 from repro.transport.stack import attach_stack
+from repro.transport.udp import UdpSocket
+
+#: name -> (sha256 of the flight JSONL, sha256 of the verdicts joined by
+#: newlines) for ``explain_scenario(name, seed=7)``.
+EXPLAIN_EXPECTED = {
+    "exhaustion-flood": (
+        "81c38f561defcf87790175f036d8b68adcf1d5214d30af47a632b502c428f89a",
+        "730be3b50e5fc8f625ecdd7e3a252d05a5710eb2b21d8d0edd2a19ba6f2c5594",
+    ),
+    "hairpin-udp": (
+        "f1c28dc7f5d532a95af51afe8468388fcc021dd886224e157b0d9931b1d3167a",
+        "d5b579567c87c2be1e9736aff02cf94a1e2ffac13d43350177efc2c3ae1b2c7d",
+    ),
+    "loss-storm": (
+        "cd2d8ae5883df76644390cb67aa32005efba229b2e5c1723ff01c8536620401a",
+        "4f562e5a7c0dafb57a744bf7a824f8d0fb0f5417a6a43ccb81a704f9b8139ea4",
+    ),
+    "nat-reboot": (
+        "bffb4479d0beea3c5548a16a146590bde7a87a81e0b0e6635d0cb7eb7821c7aa",
+        "88b4158581a7b7aba352efa232e1b0f70991dfd2c6c472aa62d4bf8a2498a4fb",
+    ),
+    "rst-tcp": (
+        "ea9151dd5b6394ec020de92b3dee353423272732c1d1c947cc7e5942952033cf",
+        "880a36125e752c3a332f8fcdb92026ad25898c73b04f01613b89692980f49676",
+    ),
+    "server-dead": (
+        "afb808fe6f1ba50834ad7ab5067d30e1041d8d79d681e57740e468ca4fdf287c",
+        "7afa50e3bb5f219deb7804a59c3239e5e35652b35e5f95d999f692b3b941cf13",
+    ),
+    "spoofed-rst": (
+        "ec44df61331dd6ad3ae202a992230422977c960fd8ee9173d76f889baf0be1ed",
+        "84ac7993f09bcab6627f324553d2fda52fd1241ee0c6e05a4eb3c9e27211bac6",
+    ),
+    "symmetric-udp": (
+        "77e6812ece24ef466011fe089973a343e25489f2ab55911c8dd7931926ee4a62",
+        "69d62e45616bd7d6e767710a12043637ce07e9bc0b1bb5215087ba168362d79d",
+    ),
+}
 
 
-@contextlib.contextmanager
-def _fast_path(enabled: bool):
-    prior = Link.fast_path_enabled
-    Link.fast_path_enabled = enabled
-    try:
-        yield
-    finally:
-        Link.fast_path_enabled = prior
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _count_path_calls(monkeypatch) -> dict:
-    """Record the virtual time of every batched-delivery timer created and
-    every slow-path ``Link._wire_one`` call from here on."""
-    seen = {"batched": [], "wire_one": []}
+def _count_batched(monkeypatch) -> list:
+    """Record the virtual time of every batched-delivery timer created from
+    here on."""
+    seen = []
     batched = Scheduler.call_later_batched
-    wire_one = Link._wire_one
 
     def counting_batched(scheduler, *args, **kwargs):
-        seen["batched"].append(scheduler.now)
+        seen.append(scheduler.now)
         return batched(scheduler, *args, **kwargs)
 
-    def counting_wire_one(link, *args, **kwargs):
-        seen["wire_one"].append(link.scheduler.now)
-        return wire_one(link, *args, **kwargs)
-
     monkeypatch.setattr(Scheduler, "call_later_batched", counting_batched)
-    monkeypatch.setattr(Link, "_wire_one", counting_wire_one)
     return seen
 
 
@@ -87,61 +113,17 @@ def _build_echo(seed: int = 1):
     return net, backbone, lan, nat, client, server
 
 
-class TestFastPathGate:
-    def test_engages_on_plain_profile_only(self):
-        net = Network(seed=1)
-        plain = net.create_link("plain", LAN_LINK)
-        lossy = net.create_link("lossy", LinkProfile(latency=0.01, loss=0.1))
-        shaped = net.create_link(
-            "shaped", LinkProfile(latency=0.01, bandwidth_bps=1e6)
-        )
-        assert plain._fast
-        assert not lossy._fast
-        assert not shaped._fast
-
-    def test_invalidated_by_trace_flap_and_flight(self):
-        net = Network(seed=1)
-        link = net.create_link("l", LAN_LINK)
-        assert link._fast
-        net.trace.enable()
-        assert not link._fast
-        net.trace.disable()
-        assert link._fast
-        link.down()
-        assert not link._fast
-        link.up()
-        assert link._fast
-        net.attach_flight()
-        assert not link._fast
-
-    def test_class_switch_disables(self):
-        net = Network(seed=1)
-        link = net.create_link("l", LAN_LINK)
-        with _fast_path(False):
-            link._refresh_fast_path()
-            assert not link._fast
-        link._refresh_fast_path()
-        assert link._fast
-
-
 class TestExplainScenarioIdentity:
-    """Both sides of this identity run the slow path: every ``--explain``
-    scenario attaches a flight recorder, and the gate refuses the fast path
-    while one is attached.  The test therefore pins only the gate — that
-    flipping ``Link.fast_path_enabled`` changes nothing when the recorder
-    already keeps the fast path off."""
-
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_flight_timeline_identical_either_path(self, name):
-        def run(enabled):
-            with _fast_path(enabled):
-                recorder, verdicts = explain_scenario(name, seed=7)
-            return to_jsonl(recorder), [render_verdict(v) for v in verdicts]
-
-        fast_jsonl, fast_verdicts = run(True)
-        slow_jsonl, slow_verdicts = run(False)
-        assert fast_verdicts == slow_verdicts
-        assert fast_jsonl == slow_jsonl  # byte-identical timeline
+    def test_flight_timeline_identical_either_path(self, name, monkeypatch):
+        batched = _count_batched(monkeypatch)
+        recorder, verdicts = explain_scenario(name, seed=7)
+        # The attached recorder no longer keeps deliveries off the batched
+        # path.
+        assert batched
+        jsonl_sha, verdicts_sha = EXPLAIN_EXPECTED[name]
+        assert _sha256("\n".join(render_verdict(v) for v in verdicts)) == verdicts_sha
+        assert _sha256(to_jsonl(recorder)) == jsonl_sha  # byte-identical timeline
 
 
 class TestEchoWorkloadIdentity:
@@ -181,16 +163,35 @@ class TestEchoWorkloadIdentity:
         }
 
     def test_observables_identical_either_path(self, monkeypatch):
-        seen = _count_path_calls(monkeypatch)
-        with _fast_path(True):
-            fast = self._run()
-        # The fast side really engaged: deliveries went through batched
-        # timers and not one packet took the slow wire path.
-        assert seen["batched"]
-        assert not seen["wire_one"]
-        with _fast_path(False):
-            slow = self._run()
-        assert fast == slow
+        batched = _count_batched(monkeypatch)
+        direct = []
+        deliver_direct = UdpSocket._deliver_direct
+
+        def counting_direct(sock, packet):
+            direct.append(packet.packet_id)
+            deliver_direct(sock, packet)
+
+        monkeypatch.setattr(UdpSocket, "_deliver_direct", counting_direct)
+        observed = self._run()
+        # Deliveries were coalesced (the t=0 burst shares batches) and went
+        # straight into the sockets, bypassing the receive() demux the
+        # expected values came from.
+        assert 0 < len(batched) < 800
+        assert len(direct) == 400
+        arrivals = observed.pop("arrivals")
+        assert len(arrivals) == 200
+        assert _sha256(repr(arrivals)) == (
+            "b3d2c0a345ee017f1fb9939d1f51111f102fa1b814ce3ba5a87689a5cc465158"
+        )
+        udp = {IpProtocol.UDP: 400}
+        assert observed == {
+            "events_fired": 900,
+            "lan": (400, 12800, udp),
+            "backbone": (400, 12800, udp),
+            "nat": (200, 200, 400, 0),
+            "client": (200, 0),
+            "server": (200, 0),
+        }
 
 
 class TestMidRunTraceIdentity:
@@ -203,23 +204,21 @@ class TestMidRunTraceIdentity:
         dest = Endpoint("18.181.0.31", 1234)
         for i in range(packets):
             net.scheduler.call_at(i * 0.0005, sock.sendto, b"%04d" % i, dest)
-        # The capture window opens mid-traffic: on the fast-path run the
-        # trace subscription must flip the gate at this instant.
+        # The capture window opens mid-traffic, while deliveries are
+        # already batched and dispatched directly.
         net.scheduler.call_at(0.03, net.trace.enable)
         net.run_until(5.0)
         assert len(arrivals) == packets
         return [str(r) for r in net.trace.records]
 
     def test_capture_identical_either_path(self, monkeypatch):
-        seen = _count_path_calls(monkeypatch)
-        with _fast_path(True):
-            fast = self._run()
-        # The fast side really engaged until the capture window opened at
-        # t=0.03: batched deliveries before it, no slow-path wire send.  The
-        # trace then shuts the gate, so the slow path only starts there.
-        assert [t for t in seen["batched"] if t < 0.03]
-        assert seen["wire_one"] and min(seen["wire_one"]) >= 0.03
-        with _fast_path(False):
-            slow = self._run()
-        assert fast  # the capture window saw traffic — identity is not vacuous
-        assert fast == slow
+        batched = _count_batched(monkeypatch)
+        captured = self._run()
+        # Enabling the trace does not change the path: batched deliveries
+        # both before and after the capture window opens at t=0.03.
+        assert [t for t in batched if t < 0.03]
+        assert [t for t in batched if t >= 0.03]
+        assert len(captured) == 302
+        assert _sha256("\n".join(captured)) == (
+            "c1786f379a20099f1fe62ed8dc5933dd46872026d5acf085c47dc43b67bdf579"
+        )

@@ -19,6 +19,8 @@ import pytest
 
 from repro.netsim.addresses import Endpoint
 from repro.netsim.clock import Scheduler
+from repro.netsim.link import LAN_LINK
+from repro.netsim.network import Network
 from repro.netsim.packet import IpProtocol, Packet
 from repro.obs import attribution
 from repro.obs.attribution import CATEGORIES, explain, render_verdict
@@ -33,6 +35,7 @@ from repro.obs.flight_export import (
     to_chrome_trace,
     to_jsonl,
 )
+from repro.transport.stack import attach_stack
 
 
 @pytest.fixture
@@ -78,6 +81,73 @@ def test_events_recorded_in_timer_attribute_to_owning_attempt(recorder):
     owned = recorder.events_for(attempt)
     assert [e.kind for e in owned] == ["attempt.start", "attempt.end", "nat.drop"]
     assert owned[-1].attempt == attempt.id
+
+
+#: Both ways to drive a run: the batch-draining loop and the
+#: one-event-per-step loop.
+DRIVERS = {
+    "run_until": lambda net: net.run_until(1.0),
+    "run_while": lambda net: net.scheduler.run_while(lambda: True, 1.0),
+}
+
+
+def _lan_pair():
+    """Host A sending to a UDP socket on host B over one plain LAN segment,
+    plus a flight recorder on the network's scheduler that is *not*
+    attached to the link."""
+    net = Network(seed=1)
+    lan = net.create_link("lan", LAN_LINK)
+    a = net.add_host("A", ip="10.0.0.1", network="10.0.0.0/24", link=lan)
+    b = net.add_host("B", ip="10.0.0.2", network="10.0.0.0/24", link=lan)
+    attach_stack(a)
+    attach_stack(b)
+    return net, lan, a.stack.udp.socket(8), b.stack.udp.socket(9), FlightRecorder(net.scheduler)
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_same_tick_send_under_new_attempt_delivers_in_that_attempt(driver):
+    # Datagram 2 leaves in the same tick as datagram 1 but under a new
+    # attempt: its delivery must fire in that attempt's context, as its own
+    # timer would, not in the context of datagram 1's delivery batch.
+    net, lan, tx, rx, recorder = _lan_pair()
+    seen = []
+    rx.on_datagram = lambda data, src: seen.append((data, net.scheduler.context))
+    dest = Endpoint("10.0.0.2", 9)
+    tx.sendto(b"1", dest)
+    second = recorder.attempt("second")
+    tx.sendto(b"2", dest)
+    DRIVERS[driver](net)
+    assert seen == [(b"1", None), (b"2", second.id)]
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_attempt_opened_in_delivery_does_not_leak_into_next_item(driver, monkeypatch):
+    # Both datagrams share one delivery batch; the first delivery opens an
+    # attempt, and the second must still fire in the batch's own context
+    # under either driver.
+    net, lan, tx, rx, recorder = _lan_pair()
+    batches = []
+    batched = Scheduler.call_later_batched
+
+    def counting(scheduler, *args, **kwargs):
+        batches.append(batched(scheduler, *args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(Scheduler, "call_later_batched", counting)
+    seen = []
+
+    def on_datagram(data, src):
+        seen.append((data, net.scheduler.context))
+        if data == b"1":
+            recorder.attempt("opened-in-delivery")
+
+    rx.on_datagram = on_datagram
+    dest = Endpoint("10.0.0.2", 9)
+    tx.sendto(b"1", dest)
+    tx.sendto(b"2", dest)
+    assert len(batches) == 1  # one batch carries both deliveries
+    DRIVERS[driver](net)
+    assert seen == [(b"1", None), (b"2", None)]
 
 
 def test_packet_flow_stamped_once_and_survives_copy(recorder):
